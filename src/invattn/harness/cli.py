@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from .. import kernels
 from ..attention import KINDS, VARIANTS, PHI_CHOICES, build_block, make_residual_branch
 from ..errors import InvariantViolation, PpmParseError
 from ..inversion import InversionConfig, estimate_lipschitz, normal_sampler, roundtrip
-from ..logdet import LogDetConfig, brute_force_logdet, logdet_series
+from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
 from .experiment import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -28,7 +27,9 @@ from .experiment import (
     config_from_mapping,
     parse_config_file,
     run_experiment,
+    squeeze_levels,
     synthetic_batch,
+    unsqueeze_levels,
 )
 from .ppm import load_ppm, save_ppm
 from .selftest import run_selftest
@@ -123,9 +124,7 @@ def _cmd_run(args) -> int:
     for key, value in overrides.items():
         if value is not None:
             mapping[key] = str(value)
-    cfg = config_from_mapping(mapping)
-    print(f"kernel backend: {kernels.backend_name()}", file=sys.stderr)
-    return run_experiment(cfg)
+    return run_experiment(config_from_mapping(mapping))
 
 
 def _block_from_args(args, channels: int):
@@ -150,12 +149,7 @@ def _single_input(args):
     else:
         source = getattr(args, "synthetic", None) or "checkerboard"
         image = synthetic_batch(source, size, 1, seed, dtype=dtype)[0]
-    working = image
-    from ..attention import squeeze as _squeeze  # local to avoid re-export noise
-
-    for _ in range(levels):
-        working = _squeeze(working)
-    return image, working, levels
+    return image, squeeze_levels(image, levels), levels
 
 
 def _cmd_invert(args) -> int:
@@ -170,12 +164,7 @@ def _cmd_invert(args) -> int:
           f"residual={report.final_residual:.3e} mse={report.reconstruction_mse:.6e} "
           f"converged={report.converged} diverged={report.diverged}")
     if xhat is not None and args.out:
-        from ..attention import unsqueeze as _unsqueeze
-
-        recon = xhat
-        for _ in range(levels):
-            recon = _unsqueeze(recon)
-        save_ppm(np.clip(recon, 0.0, 1.0), args.out)
+        save_ppm(np.clip(unsqueeze_levels(xhat, levels), 0.0, 1.0), args.out)
         print(f"reconstruction written to {args.out}")
     return EXIT_OK if report.converged else EXIT_INVARIANT
 
@@ -194,12 +183,12 @@ def _cmd_logdet(args) -> int:
     if estimate.divergence_warning:
         print("warning: per-term magnitudes are not decaying")
     dim = working.size
-    if dim <= 256:
+    if dim <= DENSE_ORACLE_MAX_DIM:
         oracle = brute_force_logdet(block, working)
         rel = abs(estimate.value - oracle) / abs(oracle) if oracle != 0 else float("nan")
         print(f"dense oracle:    {oracle:.6f} (relative error {rel:.2%})")
     else:
-        print(f"dense oracle skipped: d={dim} exceeds the 256 budget")
+        print(f"dense oracle skipped: d={dim} exceeds the {DENSE_ORACLE_MAX_DIM} budget")
     return EXIT_OK
 
 

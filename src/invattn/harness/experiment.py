@@ -25,7 +25,7 @@ from ..attention import (
 )
 from ..errors import InvariantViolation
 from ..inversion import InversionConfig, report_to_record, roundtrip, write_records
-from ..logdet import LogDetConfig, brute_force_logdet, logdet_series
+from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
 from .metrics import compute_ssim
 from .ppm import load_ppm, save_ppm
 
@@ -215,13 +215,15 @@ def _scale_weights_inplace(block: AttentionBlock, factor: float) -> None:
         block.last.weight = block.last.weight * factor
 
 
-def _squeeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
+def squeeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
+    """Apply :func:`squeeze` ``levels`` times."""
     for _ in range(levels):
         x = squeeze(x)
     return x
 
 
-def _unsqueeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
+def unsqueeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
+    """Apply :func:`unsqueeze` ``levels`` times, undoing :func:`squeeze_levels`."""
     for _ in range(levels):
         x = unsqueeze(x)
     return x
@@ -238,12 +240,12 @@ def _run_one_image(
     if cfg.variant != "invertible":
         record["note"] = "no invertibility contract"
     try:
-        working = _squeeze_levels(image, cfg.squeeze_levels)
+        working = squeeze_levels(image, cfg.squeeze_levels)
         inv_cfg = InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol)
         xhat, report = roundtrip(working, block, inv_cfg)
         ssim = None
         if xhat is not None:
-            recon = np.clip(_unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0)
+            recon = np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0)
             window = min(8, image.shape[1], image.shape[2])
             ssim = compute_ssim(image, recon, window=window)
             save_ppm(recon, out_dir / f"recon_{block.kind}_{index:03d}.ppm")
@@ -263,7 +265,7 @@ def _attach_logdet(
     record: dict, working: np.ndarray, block: AttentionBlock, cfg: ExperimentConfig, index: int
 ) -> None:
     dim = working.size
-    if dim > 256:
+    if dim > DENSE_ORACLE_MAX_DIM:
         record["logdet_note"] = f"d={dim} exceeds dense-oracle budget"
         return
     ld_cfg = LogDetConfig(

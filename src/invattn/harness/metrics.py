@@ -48,6 +48,6 @@ def compute_ssim(
         )
     c1 = (k1 * dynamic_range) ** 2
     c2 = (k2 * dynamic_range) ** 2
-    a255 = np.ascontiguousarray(a.astype(np.float64) * dynamic_range)
-    b255 = np.ascontiguousarray(b.astype(np.float64) * dynamic_range)
+    a255 = a.astype(np.float64) * dynamic_range
+    b255 = b.astype(np.float64) * dynamic_range
     return float(kernels.ssim_mean(a255, b255, window, c1, c2))

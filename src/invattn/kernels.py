@@ -1,259 +1,55 @@
-"""Hot numeric kernels, each in two flavors.
+"""Numeric kernels behind the correctness oracles, on numpy/LAPACK.
 
-``*_numpy`` is the vectorized fallback; ``*_loops`` is the explicit-loop
-version that numba compiles. The public names (``jacobi_eigvals``,
-``lu_logabsdet_kernel``, ``ssim_mean``) are bound at import time according
-to :data:`invattn._backend.NUMBA_ENABLED`. Both flavors of each kernel
-compute the same quantity and are cross-checked in the test suite;
-``benchmarks/bench_kernels.py`` times them against each other.
+``lu_logabsdet_kernel`` reduces a dense LU factorization to (log|det|, sign)
+for the dense-Jacobian log-det oracle; ``ssim_mean`` averages SSIM over every
+sliding window of a pair of images.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-from ._backend import NUMBA_ENABLED, njit
-
-_MAX_JACOBI_SWEEPS = 60
 
 
-# ---------------------------------------------------------------------------
-# Cyclic Jacobi eigenvalues of a symmetric matrix.
-#
-# Used by the exact-SVD oracle on the Gram matrix; sweeps run until the
-# off-diagonal Frobenius mass drops below 1e-12 (relative to the matrix
-# scale, since an absolute 1e-12 is unreachable above unit scale).
-# ---------------------------------------------------------------------------
+def lu_logabsdet_kernel(a: np.ndarray) -> tuple[float, int]:
+    """(log|det|, sign) of square float64 ``a``; (-inf, 0) when singular."""
+    sign, logabs = np.linalg.slogdet(a)
+    if sign == 0.0:
+        return -np.inf, 0
+    return float(logabs), int(sign)
 
 
-def _jacobi_tol(a: np.ndarray) -> float:
-    return 1e-12 * max(1.0, float(np.sqrt((a * a).sum())))
+def ssim_mean(a: np.ndarray, b: np.ndarray, win: int, c1: float, c2: float) -> float:
+    """Mean SSIM over all ``win`` x ``win`` windows and channels of (C, H, W)
+    arrays on the 0..255 scale, with population window moments.
 
+    Each channel is centred on its mean before the moments are summed; the
+    (co)variances are shift-invariant, and centring keeps the summed-area
+    tables small so their differences lose little to cancellation.
+    """
 
-def jacobi_eigvals_numpy(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of symmetric ``a`` by cyclic Jacobi sweeps, descending."""
-    a = np.array(a, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    tol = _jacobi_tol(a)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                # negligible entries are zeroed outright; the implied rotation
-                # angle is below float resolution and tau would overflow
-                if abs(apq) <= 1e-18 * (abs(a[p, p]) + abs(a[q, q])):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a))[::-1].copy()
+    def window_sums(x: np.ndarray) -> np.ndarray:
+        # read off a zero-padded summed-area table
+        table = np.zeros(x.shape[:-2] + (x.shape[-2] + 1, x.shape[-1] + 1))
+        np.cumsum(np.cumsum(x, axis=-2), axis=-1, out=table[..., 1:, 1:])
+        return (
+            table[..., win:, win:]
+            - table[..., :-win, win:]
+            - table[..., win:, :-win]
+            + table[..., :-win, :-win]
+        )
 
-
-@njit(cache=True)
-def jacobi_eigvals_loops(a: np.ndarray) -> np.ndarray:  # pragma: no cover - numba
-    a = a.copy()
-    n = a.shape[0]
-    frob = 0.0
-    for i in range(n):
-        for j in range(n):
-            frob += a[i, j] * a[i, j]
-    tol = 1e-12 * max(1.0, math.sqrt(frob))
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off += a[i, j] * a[i, j]
-        if math.sqrt(off) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * (abs(a[p, p]) + abs(a[q, q])):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[p, k]
-                    akq = a[q, k]
-                    a[p, k] = c * akp - s * akq
-                    a[q, k] = s * akp + c * akq
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    eig = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        eig[i] = a[i, i]
-    return np.sort(eig)[::-1].copy()
-
-
-# ---------------------------------------------------------------------------
-# Partial-pivoted LU, reduced to (log|det|, sign). Always float64.
-# ---------------------------------------------------------------------------
-
-
-def lu_logabsdet_numpy(a: np.ndarray) -> tuple[float, int]:
-    """(log|det|, sign) of square ``a``; (-inf, 0) for a singular matrix."""
-    a = np.array(a, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    sign = 1
-    logabs = 0.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        pivval = a[piv, k]
-        if pivval == 0.0:
-            return -np.inf, 0
-        if piv != k:
-            a[[k, piv], :] = a[[piv, k], :]
-            sign = -sign
-            pivval = a[k, k]
-        logabs += math.log(abs(pivval))
-        if pivval < 0.0:
-            sign = -sign
-        if k + 1 < n:
-            a[k + 1 :, k] /= pivval
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return logabs, sign
-
-
-@njit(cache=True)
-def lu_logabsdet_loops(a: np.ndarray) -> tuple[float, int]:  # pragma: no cover - numba
-    a = a.copy()
-    n = a.shape[0]
-    sign = 1
-    logabs = 0.0
-    for k in range(n):
-        piv = k
-        best = abs(a[k, k])
-        for i in range(k + 1, n):
-            mag = abs(a[i, k])
-            if mag > best:
-                best = mag
-                piv = i
-        pivval = a[piv, k]
-        if pivval == 0.0:
-            return -np.inf, 0
-        if piv != k:
-            for j in range(n):
-                tmp = a[k, j]
-                a[k, j] = a[piv, j]
-                a[piv, j] = tmp
-            sign = -sign
-            pivval = a[k, k]
-        logabs += math.log(abs(pivval))
-        if pivval < 0.0:
-            sign = -sign
-        for i in range(k + 1, n):
-            factor = a[i, k] / pivval
-            a[i, k] = factor
-            for j in range(k + 1, n):
-                a[i, j] -= factor * a[k, j]
-    return logabs, sign
-
-
-# ---------------------------------------------------------------------------
-# Mean SSIM over sliding windows and channels (population window moments).
-# Inputs are (C, H, W) arrays already on the 0..255 scale.
-# ---------------------------------------------------------------------------
-
-
-def ssim_mean_numpy(a: np.ndarray, b: np.ndarray, win: int, c1: float, c2: float) -> float:
-    total = 0.0
-    count = 0
-    for ch in range(a.shape[0]):
-        wa = sliding_window_view(a[ch], (win, win))
-        wb = sliding_window_view(b[ch], (win, win))
-        mu1 = wa.mean(axis=(-2, -1))
-        mu2 = wb.mean(axis=(-2, -1))
-        s1 = (wa * wa).mean(axis=(-2, -1)) - mu1 * mu1
-        s2 = (wb * wb).mean(axis=(-2, -1)) - mu2 * mu2
-        s12 = (wa * wb).mean(axis=(-2, -1)) - mu1 * mu2
-        num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
-        den = (mu1 * mu1 + mu2 * mu2 + c1) * (s1 + s2 + c2)
-        vals = num / den
-        total += float(vals.sum())
-        count += vals.size
-    return total / count
-
-
-@njit(cache=True)
-def ssim_mean_loops(a: np.ndarray, b: np.ndarray, win: int, c1: float, c2: float) -> float:  # pragma: no cover - numba
-    channels, height, width = a.shape
+    shift_a = a.mean(axis=(-2, -1), keepdims=True)
+    shift_b = b.mean(axis=(-2, -1), keepdims=True)
+    da = a - shift_a
+    db = b - shift_b
     inv_n = 1.0 / (win * win)
-    total = 0.0
-    count = 0
-    for ch in range(channels):
-        for i in range(height - win + 1):
-            for j in range(width - win + 1):
-                sa = 0.0
-                sb = 0.0
-                saa = 0.0
-                sbb = 0.0
-                sab = 0.0
-                for di in range(win):
-                    for dj in range(win):
-                        va = a[ch, i + di, j + dj]
-                        vb = b[ch, i + di, j + dj]
-                        sa += va
-                        sb += vb
-                        saa += va * va
-                        sbb += vb * vb
-                        sab += va * vb
-                mu1 = sa * inv_n
-                mu2 = sb * inv_n
-                s1 = saa * inv_n - mu1 * mu1
-                s2 = sbb * inv_n - mu2 * mu2
-                s12 = sab * inv_n - mu1 * mu2
-                num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
-                den = (mu1 * mu1 + mu2 * mu2 + c1) * (s1 + s2 + c2)
-                total += num / den
-                count += 1
-    return total / count
-
-
-if NUMBA_ENABLED:
-    jacobi_eigvals = jacobi_eigvals_loops
-    lu_logabsdet_kernel = lu_logabsdet_loops
-    ssim_mean = ssim_mean_loops
-else:
-    jacobi_eigvals = jacobi_eigvals_numpy
-    lu_logabsdet_kernel = lu_logabsdet_numpy
-    ssim_mean = ssim_mean_numpy
-
-
-def backend_name() -> str:
-    """Which kernel path the dispatchers are bound to."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    m1 = window_sums(da) * inv_n
+    m2 = window_sums(db) * inv_n
+    s1 = window_sums(da * da) * inv_n - m1 * m1
+    s2 = window_sums(db * db) * inv_n - m2 * m2
+    s12 = window_sums(da * db) * inv_n - m1 * m2
+    mu1 = m1 + shift_a
+    mu2 = m2 + shift_b
+    num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
+    den = (mu1 * mu1 + mu2 * mu2 + c1) * (s1 + s2 + c2)
+    return float((num / den).mean())

@@ -156,7 +156,7 @@ def spectral_normalize(m: np.ndarray, c: float, state: PowerIterState) -> np.nda
 def exact_svd_oracle(m: np.ndarray) -> np.ndarray:
     """All singular values of a small matrix, descending.
 
-    Cyclic-Jacobi eigendecomposition of the Gram matrix, always in float64.
+    A direct LAPACK SVD in float64, independent of power iteration.
     Restricted to min(rows, cols) <= 64; this is a test oracle, not a
     production path.
     """
@@ -166,17 +166,12 @@ def exact_svd_oracle(m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"exact_svd_oracle is limited to min(rows, cols) <= {_ORACLE_MAX_DIM}"
         )
-    gram = a @ a.T if rows <= cols else a.T @ a
-    eig = kernels.jacobi_eigvals(np.ascontiguousarray(gram))
-    return np.sqrt(np.clip(eig, 0.0, None))
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def lu_logabsdet(m: np.ndarray) -> tuple[float, int]:
-    """(log|det|, sign) via partial-pivoted LU; (-inf, 0) when singular."""
+    """(log|det|, sign) via LAPACK's partial-pivoted LU; (-inf, 0) when singular."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"lu_logabsdet requires a square matrix, got {a.shape}")
-    logabs, sign = kernels.lu_logabsdet_kernel(
-        np.ascontiguousarray(a, dtype=np.float64)
-    )
-    return float(logabs), int(sign)
+    return kernels.lu_logabsdet_kernel(a.astype(np.float64, copy=False))

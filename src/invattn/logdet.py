@@ -20,7 +20,8 @@ from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branc
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
 
-_DENSE_ORACLE_MAX_DIM = 256
+DENSE_ORACLE_MAX_DIM = 256
+"""Largest dimension d the dense-Jacobian log-det oracle accepts."""
 PROBE_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 
@@ -96,31 +97,36 @@ def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np
     return rng.standard_normal(shape)
 
 
-def _probe_power_dot(
+def _probe_trace_samples(
     g: Callable[[FeatureGrid], FeatureGrid],
     x: FeatureGrid,
     v0: np.ndarray,
     k: int,
     eps: float,
-) -> float:
-    """v0' (J_g^k v0) with the probe renormalized between applications.
+) -> np.ndarray:
+    """Trace samples v0' (J_g^j v0) for j = 1..k from one chain of JVPs.
 
-    Renormalization keeps nested finite differences at unit scale; the
-    magnitude is carried in log space.
+    The probe is renormalized between applications so nested finite
+    differences stay at unit scale; the magnitude is carried in log space.
+    A zero-norm step ends the chain: every later power is exactly zero, and
+    only the samples before it are returned.
     """
+    samples: list[float] = []
     norm0 = float(np.linalg.norm(v0.ravel()))
     if norm0 == 0.0:
-        return 0.0
+        return np.array(samples)
     w = v0 / norm0
     log_mag = math.log(norm0)
+    v0_flat = v0.ravel()
     for _ in range(k):
         u = jvp(g, x, w, eps)
         nrm = float(np.linalg.norm(u.ravel()))
         if nrm == 0.0:
-            return 0.0
+            break
         w = u / nrm
         log_mag += math.log(nrm)
-    return math.exp(log_mag) * float(np.dot(v0.ravel(), w.ravel()))
+        samples.append(math.exp(log_mag) * float(np.dot(v0_flat, w.ravel())))
+    return np.array(samples)
 
 
 def hutchinson_trace_power(
@@ -139,7 +145,9 @@ def hutchinson_trace_power(
     total = 0.0
     for _ in range(cfg.hutchinson_samples):
         v0 = _draw_probe(rng, x.shape, cfg.probe_distribution)
-        total += _probe_power_dot(g, x, v0, k, cfg.jvp_epsilon)
+        samples = _probe_trace_samples(g, x, v0, k, cfg.jvp_epsilon)
+        if samples.size == k:
+            total += float(samples[-1])
     return total / cfg.hutchinson_samples
 
 
@@ -160,24 +168,13 @@ def logdet_series_from_branch(
     n_terms = cfg.series_terms
     n_probes = cfg.hutchinson_samples
     term_samples = np.zeros((n_probes, n_terms))
+    powers = np.arange(1, n_terms + 1)
+    signs = np.where(powers % 2 == 1, 1.0, -1.0)
     for s in range(n_probes):
         v0 = _draw_probe(rng, x.shape, cfg.probe_distribution)
-        norm0 = float(np.linalg.norm(v0.ravel()))
-        if norm0 == 0.0:
-            continue
-        w = v0 / norm0
-        log_mag = math.log(norm0)
-        v0_flat = v0.ravel()
-        for k in range(1, n_terms + 1):
-            u = jvp(branch, x, w, cfg.jvp_epsilon)
-            nrm = float(np.linalg.norm(u.ravel()))
-            if nrm == 0.0:
-                break
-            w = u / nrm
-            log_mag += math.log(nrm)
-            trace_sample = math.exp(log_mag) * float(np.dot(v0_flat, w.ravel()))
-            sign = 1.0 if k % 2 == 1 else -1.0
-            term_samples[s, k - 1] = sign * trace_sample / k
+        samples = _probe_trace_samples(branch, x, v0, n_terms, cfg.jvp_epsilon)
+        done = samples.size
+        term_samples[s, :done] = signs[:done] * samples / powers[:done]
     per_term = term_samples.mean(axis=0)
     totals = term_samples.sum(axis=1)
     variance = float(totals.var(ddof=1)) if n_probes > 1 else 0.0
@@ -213,12 +210,13 @@ def brute_force_logdet_from_branch(
 
     Asserts the determinant sign is +1, the falsifiable consequence of the
     contraction bound; a violated bound raises :class:`InvariantViolation`.
-    Dimension capped at 256 (this is an oracle, not a production path).
+    Dimension capped at :data:`DENSE_ORACLE_MAX_DIM` (this is an oracle,
+    not a production path).
     """
     x = as_grid(x).astype(np.float64, copy=False)
     dim = x.size
-    if dim > _DENSE_ORACLE_MAX_DIM:
-        raise ValueError(f"brute_force_logdet is limited to d <= {_DENSE_ORACLE_MAX_DIM}, got {dim}")
+    if dim > DENSE_ORACLE_MAX_DIM:
+        raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")
     jac = np.empty((dim, dim))
     direction = np.zeros_like(x)
     flat_dir = direction.ravel()

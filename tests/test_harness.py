@@ -156,11 +156,22 @@ class TestSsim:
         a = rng.uniform(0, 1, (3, 10, 10))
         assert abs(compute_ssim(a, a) - 1.0) <= 1e-12
 
-    def test_matches_naive_windowed_oracle(self):
+    @pytest.mark.parametrize(
+        "shape, window",
+        [
+            ((3, 12, 11), 8),
+            ((3, 12, 11), 1),  # single-pixel windows: zero variances
+            ((3, 12, 11), 11),  # window spans the short side
+            ((3, 9, 17), 4),  # non-square grid
+            ((3, 64, 64), 8),  # largest image the experiment accepts
+        ],
+        ids=["12x11-w8", "12x11-w1", "12x11-w11", "9x17-w4", "64x64-w8"],
+    )
+    def test_matches_naive_windowed_oracle(self, shape, window):
         rng = np.random.default_rng(5)
-        a = rng.uniform(0, 1, (3, 12, 11))
+        a = rng.uniform(0, 1, shape)
         b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
-        assert abs(compute_ssim(a, b) - naive_ssim(a, b)) <= 1e-9
+        assert abs(compute_ssim(a, b, window=window) - naive_ssim(a, b, window=window)) <= 1e-12
 
     def test_inverted_structured_content_is_negative(self):
         cb = np.zeros((3, 16, 16))

@@ -162,7 +162,9 @@ class TestExactSvdOracle:
         rng = np.random.default_rng(8)
         for rows, cols in ((5, 9), (9, 5), (16, 16)):
             m = rng.standard_normal((rows, cols))
-            assert np.allclose(exact_svd_oracle(m), np.linalg.svd(m, compute_uv=False), atol=1e-11)
+            gram = m @ m.T if rows <= cols else m.T @ m
+            want = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[::-1]
+            assert np.allclose(exact_svd_oracle(m), want, rtol=0.0, atol=1e-11)
 
     def test_descending_and_nonnegative(self):
         rng = np.random.default_rng(9)
@@ -254,6 +256,16 @@ class TestLuLogAbsDet:
             logabs, sign = lu_logabsdet(m)
             assert abs(logabs - math.log(abs(det))) <= 1e-9
             assert sign == int(np.sign(det))
+
+    def test_near_identity_d192_matches_eigenvalues(self):
+        # the size of the dense log-det oracle's Jacobian on a 4x4x12 grid
+        rng = np.random.default_rng(14)
+        m = np.eye(192) + 0.02 * rng.standard_normal((192, 192))
+        m[0] = -m[0]  # negative determinant: the sign must come out too
+        eig = np.linalg.eigvals(m)
+        logabs, sign = lu_logabsdet(m)
+        assert abs(logabs - float(np.sum(np.log(np.abs(eig))))) <= 1e-9
+        assert sign == int(np.sign(np.prod(eig).real))
 
     def test_multiplicativity(self):
         rng = np.random.default_rng(13)
