@@ -2,18 +2,22 @@
 
 A feature grid is a plain ``(channels, height, width)`` float array; its
 ``positions x channels`` matrix view (one row per spatial position) is what
-the response and feature maps act on. Four response kinds are supported
-(gaussian, embedded, dot, concat), each in a non-invertible and an
-invertible variant. The invertible variant wraps raw scores so they are
-nonnegative, normalizes response columns to sum to one (making the matrix
-L1 norm exactly 1), and bounds the focus and output 1x1 convolutions by a
-spectral target c, so the residual branch is empirically contractive and
-the block f(x) = x + g(x) can be inverted by fixed-point iteration.
+the response and feature maps act on. The maps up to the residual branch
+also take a ``(batch, channels, height, width)`` stack of grids and act on
+each grid of it independently; one grid is a stack with no leading axis.
+Four response kinds are supported (gaussian, embedded, dot, concat), each in
+a non-invertible and an invertible variant. The invertible variant wraps raw
+scores so they are nonnegative, normalizes response columns to sum to one
+(making the matrix L1 norm exactly 1), and bounds the focus and output 1x1
+convolutions by a spectral target c, so the residual branch is empirically
+contractive and the block f(x) = x + g(x) can be inverted by fixed-point
+iteration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,10 +43,10 @@ BLOCK_FORMAT_VERSION = 1
 
 
 def as_grid(x: np.ndarray) -> FeatureGrid:
-    """Validate a (channels, height, width) grid of finite reals."""
+    """Validate a (C, H, W) grid, or a (B, C, H, W) stack of grids, of finite reals."""
     a = np.asarray(x)
-    if a.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) grid, got ndim={a.ndim}")
+    if a.ndim not in (3, 4):
+        raise ValueError(f"expected a (C, H, W) grid or a (B, C, H, W) stack, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError("empty grid")
     if a.dtype not in (np.float32, np.float64):
@@ -53,16 +57,18 @@ def as_grid(x: np.ndarray) -> FeatureGrid:
 
 
 def grid_to_matrix(x: FeatureGrid) -> np.ndarray:
-    """Positions-by-channels view of a grid; shares storage with ``x``."""
-    channels = x.shape[0]
-    return x.reshape(channels, -1).T
+    """Positions-by-channels view of a grid (or stack); shares storage with ``x``."""
+    channels = x.shape[-3]
+    return x.reshape(x.shape[:-3] + (channels, -1)).swapaxes(-1, -2)
 
 
 def matrix_to_grid(mat: np.ndarray, height: int, width: int) -> FeatureGrid:
-    """Inverse of :func:`grid_to_matrix` for an (m, C) matrix."""
-    if mat.shape[0] != height * width:
-        raise ValueError(f"matrix has {mat.shape[0]} positions, grid wants {height * width}")
-    return np.ascontiguousarray(mat.T).reshape(mat.shape[1], height, width)
+    """Inverse of :func:`grid_to_matrix` for an (m, C) matrix or a stack of them."""
+    if mat.shape[-2] != height * width:
+        raise ValueError(f"matrix has {mat.shape[-2]} positions, grid wants {height * width}")
+    return np.ascontiguousarray(mat.swapaxes(-1, -2)).reshape(
+        mat.shape[:-2] + (mat.shape[-1], height, width)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +144,10 @@ def apply_1x1_conv(x: FeatureGrid, w: SpectralLinear) -> FeatureGrid:
     equals the largest singular value of the weight.
     """
     x = as_grid(x)
-    if w.in_dim != x.shape[0]:
-        raise ValueError(f"conv expects {w.in_dim} channels, grid has {x.shape[0]}")
+    if w.in_dim != x.shape[-3]:
+        raise ValueError(f"conv expects {w.in_dim} channels, grid has {x.shape[-3]}")
     out = grid_to_matrix(x) @ w.weight.T
-    return matrix_to_grid(out, x.shape[1], x.shape[2])
+    return matrix_to_grid(out, x.shape[-2], x.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,8 @@ def build_block(
 
 
 def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
-    """Unnormalized m x m pairwise responses, entry (i, j) = r(x_i, x_j).
+    """Unnormalized m x m pairwise responses, entry (i, j) = r(x_i, x_j);
+    (B, m, m) for a stack of grids.
 
     The exponential kinds subtract the maximum logit along the axis that is
     later normalized (rows for the non-invertible variant, columns for the
@@ -296,11 +303,11 @@ def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
     the nonnegative activation phi.
     """
     x = as_grid(x)
-    if x.shape[0] != block.channels:
-        raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[0]}")
+    if x.shape[-3] != block.channels:
+        raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
     pos = grid_to_matrix(x)
     if block.kind == "gaussian":
-        logits = pos @ pos.T
+        logits = pos @ pos.swapaxes(-1, -2)
     else:
         e1 = pos @ block.embed1.weight.T
         e2 = pos @ block.embed2.weight.T
@@ -309,13 +316,13 @@ def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
             half = row.size // 2
             left = e1 @ row[:half]
             right = e2 @ row[half:]
-            logits = left[:, None] + right[None, :]
+            logits = left[..., :, None] + right[..., None, :]
         else:
-            logits = e1 @ e2.T
+            logits = e1 @ e2.swapaxes(-1, -2)
     if block.logit_scale != 1.0:
         logits = logits * logits.dtype.type(block.logit_scale)
     if block.kind in _EXP_KINDS:
-        axis = 0 if block.variant == "invertible" else 1
+        axis = -2 if block.variant == "invertible" else -1
         return np.exp(logits - logits.max(axis=axis, keepdims=True))
     if block.variant == "invertible":
         return apply_phi(logits, block.phi)
@@ -329,7 +336,7 @@ def normalize_response(
     column_sum_target: float = 1.0,
     global_sum: bool = False,
 ) -> np.ndarray:
-    """Normalize raw responses into the response map R(x).
+    """Normalize raw responses (one m x m matrix or a stack) into R(x).
 
     Invertible variant: columns scaled to sum to ``column_sum_target``
     (1 by default, so the matrix L1 norm is exactly 1); with ``global_sum``
@@ -342,32 +349,29 @@ def normalize_response(
         raise ValueError(f"unknown kind {kind!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    a = as_matrix(raw)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(raw)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"response matrix must be square, got {a.shape}")
-    m = a.shape[0]
+    m = a.shape[-1]
+    a = as_matrix(a.reshape(math.prod(a.shape[:-1]), m)).reshape(a.shape)
     if variant == "invertible":
         if np.any(a < 0):
             raise InvariantViolation("negative raw response under invertible normalization")
-        if global_sum:
-            total = a.sum()
-            if total == 0.0:
-                return np.full_like(a, 1.0 / (m * m))
-            return a * a.dtype.type(1.0 / total)
-        sums = a.sum(axis=0)
-        out = np.empty_like(a)
-        alive = sums != 0.0
-        out[:, alive] = a[:, alive] * (column_sum_target / sums[alive])
-        out[:, ~alive] = a.dtype.type(column_sum_target / m)
-        return out
-    if kind in _EXP_KINDS:
-        sums = a.sum(axis=1)
-        out = np.empty_like(a)
-        alive = sums != 0.0
-        out[alive, :] = a[alive, :] / sums[alive, None]
-        out[~alive, :] = a.dtype.type(1.0 / m)
-        return out
-    return a * a.dtype.type(1.0 / m)
+        target = 1.0 if global_sum else column_sum_target
+        sums = a.sum(axis=(-2, -1) if global_sum else -2, keepdims=True)
+        dead = sums == 0.0
+        out = a * (target / np.where(dead, 1.0, sums))
+        fill = target / (m * m if global_sum else m)
+    elif kind in _EXP_KINDS:
+        sums = a.sum(axis=-1, keepdims=True)
+        dead = sums == 0.0
+        out = a / np.where(dead, 1.0, sums)
+        fill = 1.0 / m
+    else:
+        return a * a.dtype.type(1.0 / m)
+    if dead.any():
+        out = np.where(dead, a.dtype.type(fill), out)
+    return out
 
 
 def response_map(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
@@ -391,7 +395,7 @@ def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
     x = as_grid(x)
     resp = response_map(x, block)
     feat = grid_to_matrix(apply_1x1_conv(x, block.focus))
-    return matrix_to_grid(resp @ feat, x.shape[1], x.shape[2])
+    return matrix_to_grid(resp @ feat, x.shape[-2], x.shape[-1])
 
 
 def residual_branch(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:

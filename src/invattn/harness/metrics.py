@@ -42,9 +42,9 @@ def compute_ssim(
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if window > min(a.shape[1], a.shape[2]):
+    if window > min(a.shape[-2], a.shape[-1]):
         raise ValueError(
-            f"window {window} exceeds spatial dims {a.shape[1]}x{a.shape[2]}"
+            f"window {window} exceeds spatial dims {a.shape[-2]}x{a.shape[-1]}"
         )
     c1 = (k1 * dynamic_range) ** 2
     c2 = (k2 * dynamic_range) ** 2

@@ -3,14 +3,19 @@
 For f(x) = x + g(x) with a contractive branch, ln|det J_f| equals the
 alternating power series sum_k (-1)^(k+1) tr(J_g^k)/k. Traces are estimated
 stochastically with Hutchinson probes, and Jacobian-vector products come
-from central finite differences, so no autodiff machinery is involved. A
-dense finite-difference Jacobian plus LU provides the exact oracle at small
-dimension.
+from central finite differences, so no autodiff machinery is involved. All
+probes advance in lockstep: each series step is one JVP on the stack of
+probe directions, so the branch sees a (probes, C, H, W) stack instead of
+one grid per probe. A dense finite-difference Jacobian plus LU, built from
+stacks of unit-step columns, provides the exact oracle up to
+:data:`DENSE_ORACLE_MAX_DIM`.
+
+Every branch callable passed here must map a (B, C, H, W) stack of grids
+to the stack of its per-grid outputs, as well as one (C, H, W) grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,8 +25,13 @@ from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branc
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
 
-DENSE_ORACLE_MAX_DIM = 256
+DENSE_ORACLE_MAX_DIM = 768
 """Largest dimension d the dense-Jacobian log-det oracle accepts."""
+# A stacked branch call holds a few (grids, m, m) responses: cap grids * m^2 so
+# that each stays within 4 MB in float64. Past 64 grids the per-call overhead is
+# already spread thin, and a larger stack only adds memory and cache misses.
+_STACK_ELEMENTS = 2**19
+_STACK_GRIDS = 64
 PROBE_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 
@@ -74,13 +84,15 @@ def jvp(
 ) -> np.ndarray:
     """Central-difference directional derivative J_g(x) v.
 
+    ``v`` is one direction of ``x.shape`` or a stack of them of shape
+    ``(P,) + x.shape``; ``g`` must then map the stack of P perturbed grids.
     Exact for linear maps; O(eps^2) truncation error otherwise.
     """
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
     x = as_grid(x)
     v = np.asarray(v)
-    if v.shape != x.shape:
+    if v.shape != x.shape and v.shape[1:] != x.shape:
         raise ValueError(f"direction shape {v.shape} does not match input shape {x.shape}")
     if not np.isfinite(v).all():
         raise ValueError("direction contains non-finite entries")
@@ -97,6 +109,12 @@ def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np
     return rng.standard_normal(shape)
 
 
+def _grids_per_call(x: FeatureGrid) -> int:
+    """How many grids shaped like ``x`` one stacked branch call may take."""
+    positions = x.shape[-2] * x.shape[-1]
+    return max(1, min(_STACK_GRIDS, _STACK_ELEMENTS // positions**2))
+
+
 def _probe_trace_samples(
     g: Callable[[FeatureGrid], FeatureGrid],
     x: FeatureGrid,
@@ -104,29 +122,42 @@ def _probe_trace_samples(
     k: int,
     eps: float,
 ) -> np.ndarray:
-    """Trace samples v0' (J_g^j v0) for j = 1..k from one chain of JVPs.
+    """Trace samples v0' (J_g^j v0) for j = 1..k of a (P,) + x.shape probe
+    stack, as a (P, k) array.
 
-    The probe is renormalized between applications so nested finite
-    differences stay at unit scale; the magnitude is carried in log space.
-    A zero-norm step ends the chain: every later power is exactly zero, and
-    only the samples before it are returned.
+    All probes take each step together, in stacks of at most
+    :func:`_grids_per_call` grids. Each probe is renormalized between
+    applications so nested finite differences stay at unit scale; its
+    magnitude is carried in log space. A probe whose step has zero norm
+    keeps zero samples from that step on: every later power is exactly
+    zero. The other probes go on.
     """
-    samples: list[float] = []
-    norm0 = float(np.linalg.norm(v0.ravel()))
-    if norm0 == 0.0:
-        return np.array(samples)
-    w = v0 / norm0
-    log_mag = math.log(norm0)
-    v0_flat = v0.ravel()
-    for _ in range(k):
-        u = jvp(g, x, w, eps)
-        nrm = float(np.linalg.norm(u.ravel()))
-        if nrm == 0.0:
+    chunk = _grids_per_call(x)
+    if v0.shape[0] > chunk:
+        parts = [
+            _probe_trace_samples(g, x, v0[start : start + chunk], k, eps)
+            for start in range(0, v0.shape[0], chunk)
+        ]
+        return np.concatenate(parts)
+    n_probes = v0.shape[0]
+    flat0 = v0.reshape(n_probes, -1)
+    samples = np.zeros((n_probes, k))
+    norms = np.linalg.norm(flat0, axis=1)
+    live = norms > 0.0
+    scale = np.where(live, norms, 1.0)  # a zero-norm row is all zeros
+    log_mag = np.log(scale)
+    w = flat0 / scale[:, None]
+    for j in range(k):
+        if not live.any():
             break
-        w = u / nrm
-        log_mag += math.log(nrm)
-        samples.append(math.exp(log_mag) * float(np.dot(v0_flat, w.ravel())))
-    return np.array(samples)
+        u = jvp(g, x, w.reshape(v0.shape), eps).reshape(n_probes, -1)
+        norms = np.linalg.norm(u, axis=1)
+        live &= norms > 0.0
+        scale = np.where(live, norms, 1.0)
+        w = u / scale[:, None]
+        log_mag += np.log(scale)
+        samples[live, j] = np.exp(log_mag[live]) * np.einsum("pi,pi->p", flat0[live], w[live])
+    return samples
 
 
 def hutchinson_trace_power(
@@ -135,20 +166,22 @@ def hutchinson_trace_power(
     k: int,
     cfg: LogDetConfig | None = None,
 ) -> float:
-    """Stochastic estimate of tr(J_g(x)^k) over seeded probes."""
+    """Stochastic estimate of tr(J_g(x)^k) over seeded probes.
+
+    ``g`` must map a (P, C, H, W) stack of grids; all probes go through it
+    together.
+    """
     if k < 1:
         raise ValueError("power k must be >= 1")
     if cfg is None:
         cfg = LogDetConfig()
     x = as_grid(x)
     rng = np.random.default_rng(cfg.seed)
-    total = 0.0
-    for _ in range(cfg.hutchinson_samples):
-        v0 = _draw_probe(rng, x.shape, cfg.probe_distribution)
-        samples = _probe_trace_samples(g, x, v0, k, cfg.jvp_epsilon)
-        if samples.size == k:
-            total += float(samples[-1])
-    return total / cfg.hutchinson_samples
+    probes = np.stack(
+        [_draw_probe(rng, x.shape, cfg.probe_distribution) for _ in range(cfg.hutchinson_samples)]
+    )
+    samples = _probe_trace_samples(g, x, probes, k, cfg.jvp_epsilon)
+    return float(samples[:, -1].sum()) / cfg.hutchinson_samples
 
 
 def logdet_series_from_branch(
@@ -158,8 +191,9 @@ def logdet_series_from_branch(
 ) -> LogDetEstimate:
     """Truncated alternating series for ln|det J_f(x)| of f(x) = x + g(x).
 
-    ``branch`` is g, not f. Valid when the branch Jacobian has spectral
-    norm below 1; the per-term trail lets callers audit decay.
+    ``branch`` is g, not f, and must map a (P, C, H, W) stack of grids: each
+    series step is one JVP over all probes. Valid when the branch Jacobian
+    has spectral norm below 1; the per-term trail lets callers audit decay.
     """
     if cfg is None:
         cfg = LogDetConfig()
@@ -167,14 +201,11 @@ def logdet_series_from_branch(
     rng = np.random.default_rng(cfg.seed)
     n_terms = cfg.series_terms
     n_probes = cfg.hutchinson_samples
-    term_samples = np.zeros((n_probes, n_terms))
+    probes = np.stack([_draw_probe(rng, x.shape, cfg.probe_distribution) for _ in range(n_probes)])
+    samples = _probe_trace_samples(branch, x, probes, n_terms, cfg.jvp_epsilon)
     powers = np.arange(1, n_terms + 1)
     signs = np.where(powers % 2 == 1, 1.0, -1.0)
-    for s in range(n_probes):
-        v0 = _draw_probe(rng, x.shape, cfg.probe_distribution)
-        samples = _probe_trace_samples(branch, x, v0, n_terms, cfg.jvp_epsilon)
-        done = samples.size
-        term_samples[s, :done] = signs[:done] * samples / powers[:done]
+    term_samples = signs * samples / powers
     per_term = term_samples.mean(axis=0)
     totals = term_samples.sum(axis=1)
     variance = float(totals.var(ddof=1)) if n_probes > 1 else 0.0
@@ -208,24 +239,29 @@ def brute_force_logdet_from_branch(
     """Exact ln|det J_f(x)| for f = id + branch, from the dense
     finite-difference Jacobian plus LU.
 
-    Asserts the determinant sign is +1, the falsifiable consequence of the
-    contraction bound; a violated bound raises :class:`InvariantViolation`.
-    Dimension capped at :data:`DENSE_ORACLE_MAX_DIM` (this is an oracle,
-    not a production path).
+    ``branch`` must map a (B, C, H, W) stack of grids: the Jacobian columns
+    come from stacks of ``x +- eps e_j``, at most :func:`_grids_per_call`
+    grids per branch call. Asserts the determinant sign is +1, the
+    falsifiable consequence of the contraction bound; a violated bound
+    raises :class:`InvariantViolation`. Dimension capped at
+    :data:`DENSE_ORACLE_MAX_DIM` (this is an oracle, not a production path).
     """
     x = as_grid(x).astype(np.float64, copy=False)
     dim = x.size
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")
+    chunk = _grids_per_call(x)
     jac = np.empty((dim, dim))
-    direction = np.zeros_like(x)
-    flat_dir = direction.ravel()
-    for j in range(dim):
-        flat_dir[j] = 1.0
-        plus = x + eps * direction + branch(x + eps * direction)
-        minus = x - eps * direction + branch(x - eps * direction)
-        jac[:, j] = ((plus - minus) / (2.0 * eps)).ravel()
-        flat_dir[j] = 0.0
+    for start in range(0, dim, chunk):
+        cols = np.arange(start, min(start + chunk, dim))
+        steps = np.zeros((cols.size, dim))
+        steps[np.arange(cols.size), cols] = eps
+        steps = steps.reshape((cols.size,) + x.shape)
+        ahead = x + steps
+        behind = x - steps
+        plus = ahead + branch(ahead)
+        minus = behind + branch(behind)
+        jac[:, cols] = ((plus - minus) / (2.0 * eps)).reshape(cols.size, dim).T
     if not np.isfinite(jac).all():
         raise FloatingPointError("non-finite entries in the finite-difference Jacobian")
     logabs, sign = lu_logabsdet(jac)

@@ -60,6 +60,19 @@ class TestFeatureGrid:
         assert np.array_equal(mat[0], [x[0, 0, 0], x[1, 0, 0]])
         assert np.array_equal(mat[3], [x[0, 1, 1], x[1, 1, 1]])
 
+    def test_stack_views_match_per_grid_views(self):
+        xs = np.arange(48.0).reshape(2, 2, 3, 4)
+        mats = grid_to_matrix(xs)
+        assert mats.shape == (2, 12, 2)
+        assert np.shares_memory(mats, xs)
+        for x, mat in zip(xs, mats):
+            assert np.array_equal(mat, grid_to_matrix(x))
+        assert np.array_equal(matrix_to_grid(mats, 3, 4), xs)
+
+    def test_stack_of_stacks_rejected(self):
+        with pytest.raises(ValueError):
+            as_grid(np.zeros((2, 2, 1, 2, 2)))
+
     @pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.zeros((0, 2, 2))])
     def test_grid_validation(self, bad):
         with pytest.raises(ValueError):
@@ -515,3 +528,68 @@ def test_noninvertible_exponential_rows_are_distributions(kind):
         resp = response_map(random_grid(rng), block)
         assert resp.min() >= 0.0
         assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Stacks of grids: one call on (B, C, H, W) equals B calls on (C, H, W)
+# ---------------------------------------------------------------------------
+
+STACK_CONFIGS = {
+    "default": {},
+    "global-sum": {"global_sum": True},
+    "column-target": {"column_sum_target": 0.7},
+    "logit-scale": {"logit_scale": 2.5},
+    "float32": {"dtype": np.float32},
+}
+
+
+def relative_gap(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("config", sorted(STACK_CONFIGS))
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stacked_branch_matches_loop_of_grids(kind, variant, config):
+    options = STACK_CONFIGS[config]
+    block = build_block(kind, variant, 4, seed=32, **options)
+    dtype = options.get("dtype", np.float64)
+    xs = np.random.default_rng(33).uniform(0.0, 1.0, (5, 4, 3, 5)).astype(dtype)
+    stacked = residual_branch(xs, block)
+    looped = np.stack([residual_branch(x, block) for x in xs])
+    assert stacked.dtype == looped.dtype == dtype
+    assert relative_gap(stacked, looped) <= 1e-15
+
+
+def test_stacked_branch_with_a_forced_zero_column():
+    # a zero position has a zero embedding, so its relu(dot) column is zero
+    block = build_block("dot", "invertible", 4, seed=34, phi="relu")
+    xs = np.random.default_rng(35).uniform(0.0, 1.0, (3, 4, 3, 5))
+    xs[1, :, 0, 0] = 0.0
+    raw = raw_response(xs, block)
+    assert np.array_equal(raw[1, :, 0], np.zeros(15))
+    resp = response_map(xs, block)
+    assert np.allclose(resp[1, :, 0], 1.0 / 15.0, rtol=0.0, atol=1e-15)
+    stacked = residual_branch(xs, block)
+    looped = np.stack([residual_branch(x, block) for x in xs])
+    assert relative_gap(stacked, looped) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "kind, variant, options",
+    [
+        ("dot", "invertible", {}),
+        ("dot", "invertible", {"column_sum_target": 0.6}),
+        ("dot", "invertible", {"global_sum": True}),
+        ("embedded", "noninvertible", {}),
+        ("concat", "noninvertible", {}),
+    ],
+)
+def test_normalize_response_stack_matches_loop(kind, variant, options):
+    raw = np.random.default_rng(36).uniform(0.1, 1.0, (4, 5, 5))
+    raw[1, :, 2] = 0.0  # a zero column
+    raw[2] = 0.0  # an all-zero matrix
+    raw[3, 1, :] = 0.0  # a zero row
+    stacked = normalize_response(raw, kind, variant, **options)
+    looped = np.stack([normalize_response(r, kind, variant, **options) for r in raw])
+    assert np.array_equal(stacked, looped)

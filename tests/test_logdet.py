@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from invattn import logdet
 from invattn.attention import build_block, make_residual_branch
 from invattn.errors import InvariantViolation
 from invattn.logdet import (
     LogDetConfig,
+    _probe_trace_samples,
     brute_force_logdet,
     brute_force_logdet_from_branch,
     hutchinson_trace_power,
@@ -18,7 +20,7 @@ from invattn.logdet import (
 
 def linear_branch(matrix):
     def branch(x):
-        return (matrix @ x.ravel()).reshape(x.shape)
+        return (x.reshape(x.shape[: x.ndim - 3] + (-1,)) @ matrix.T).reshape(x.shape)
 
     return branch
 
@@ -31,6 +33,25 @@ def dense_jacobian(branch, x, eps=1e-5):
         direction[j] = 1.0
         jac[:, j] = jvp(branch, x, direction.reshape(x.shape), eps).ravel()
     return jac
+
+
+def per_probe_series(branch, x, cfg):
+    """Per-term series means, one Rademacher probe at a time, from
+    single-grid central differences with unit-scale directions."""
+    rng = np.random.default_rng(cfg.seed)
+    eps = cfg.jvp_epsilon
+    terms = np.zeros((cfg.hutchinson_samples, cfg.series_terms))
+    for s in range(cfg.hutchinson_samples):
+        v0 = (rng.integers(0, 2, size=x.shape) * 2 - 1).astype(np.float64)
+        scale = float(np.linalg.norm(v0))
+        w = v0 / scale
+        for k in range(1, cfg.series_terms + 1):
+            u = (branch(x + eps * w) - branch(x - eps * w)) / (2.0 * eps)
+            step = float(np.linalg.norm(u))
+            w = u / step
+            scale *= step
+            terms[s, k - 1] = (-1) ** (k + 1) * scale * float(np.vdot(v0, w)) / k
+    return terms.mean(axis=0)
 
 
 class TestConfig:
@@ -79,6 +100,23 @@ class TestJvp:
         with pytest.raises(ValueError):
             jvp(lambda x: x, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), eps=0.0)
 
+    def test_direction_stack_matches_single_directions(self):
+        block = build_block("concat", "invertible", 3, seed=3)
+        branch = make_residual_branch(block)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, (3, 2, 3))
+        vs = rng.standard_normal((4, 3, 2, 3))
+        stacked = jvp(branch, x, vs)
+        assert stacked.shape == vs.shape
+        for v, got in zip(vs, stacked):
+            assert np.abs(got - jvp(branch, x, v)).max() <= 1e-15
+
+    def test_direction_stack_must_match_trailing_shape(self):
+        with pytest.raises(ValueError):
+            jvp(lambda x: x, np.zeros((1, 2, 2)), np.zeros((3, 1, 2, 3)))
+        with pytest.raises(ValueError):
+            jvp(lambda x: x, np.zeros((1, 2, 2)), np.zeros((3, 2, 1, 2, 2)))
+
     def test_nonfinite_branch_output_raises_with_context(self):
         def bad(x):
             return np.full_like(x, np.nan)
@@ -116,6 +154,18 @@ class TestHutchinsonTracePower:
         true_cube = float(np.trace(np.linalg.matrix_power(dense_jacobian(branch, x), 3)))
         est = hutchinson_trace_power(branch, x, 3, LogDetConfig(hutchinson_samples=2048, seed=6))
         assert abs(est - true_cube) / abs(true_cube) <= 0.05
+
+    def test_dead_probes_give_zeros_while_live_probes_go_on(self):
+        # M = 0.5 u u' / |u|^2, u = (1, 1, 0, 0): a probe with v1 = -v2 lies in
+        # the null space; any other probe has v' M^k v = 0.5^k (u'v)^2 / 2 = 2 * 0.5^k
+        u = np.array([1.0, 1.0, 0.0, 0.0])
+        m = 0.5 * np.outer(u, u) / 2.0
+        probes = np.array(
+            [[1, 1, 1, -1], [1, -1, 1, 1], [-1, -1, -1, 1], [-1, 1, 1, 1]], dtype=float
+        ).reshape(4, 4, 1, 1)
+        samples = _probe_trace_samples(linear_branch(m), np.zeros((4, 1, 1)), probes, 5, 1e-5)
+        assert np.array_equal(samples[[1, 3]], np.zeros((2, 5)))
+        assert np.abs(samples[[0, 2]] - 2.0 * 0.5 ** np.arange(1, 6)).max() <= 1e-12
 
     def test_power_validated(self):
         with pytest.raises(ValueError):
@@ -175,6 +225,24 @@ class TestLogDetSeries:
         est = logdet_series_from_branch(lambda y: 1.5 * y, x, cfg)
         assert est.divergence_warning
 
+    def test_lockstep_probes_match_per_probe_reference(self):
+        block = build_block("embedded", "invertible", 3, seed=13)
+        x = np.random.default_rng(14).uniform(0, 1, (3, 4, 4))
+        cfg = LogDetConfig(series_terms=8, hutchinson_samples=12, seed=15)
+        est = logdet_series(block, x, cfg)
+        want = per_probe_series(make_residual_branch(block), x, cfg)
+        assert np.abs(np.array(est.per_term_contributions) - want).max() <= 1e-9
+        assert abs(est.value - want.sum()) <= 1e-9
+
+    def test_probe_chunks_do_not_change_the_estimate(self, monkeypatch):
+        block = build_block("gaussian", "invertible", 3, seed=16)
+        x = np.random.default_rng(17).uniform(0, 1, (3, 2, 2))
+        cfg = LogDetConfig(series_terms=6, hutchinson_samples=10, seed=18)
+        whole = logdet_series(block, x, cfg)
+        monkeypatch.setattr(logdet, "_STACK_ELEMENTS", 3 * 16)  # 3 probes per branch call
+        chunked = logdet_series(block, x, cfg)
+        assert np.abs(np.subtract(chunked.per_term_contributions, whole.per_term_contributions)).max() <= 1e-15
+
     def test_requires_invertible_variant(self):
         block = build_block("dot", "noninvertible", 3, seed=7)
         with pytest.raises(ValueError):
@@ -217,7 +285,7 @@ class TestBruteForce:
     def test_dimension_budget(self):
         block = build_block("gaussian", "invertible", 3, seed=11)
         with pytest.raises(ValueError):
-            brute_force_logdet(block, np.zeros((3, 16, 16)))  # d = 768
+            brute_force_logdet(block, np.zeros((3, 16, 20)))  # d = 960
 
     def test_agrees_with_lapack_slogdet(self):
         rng = np.random.default_rng(7)
@@ -225,3 +293,19 @@ class TestBruteForce:
         got = brute_force_logdet_from_branch(linear_branch(m), np.zeros((20, 1, 1)))
         want = float(np.linalg.slogdet(np.eye(20) + m)[1])
         assert abs(got - want) <= 1e-7
+
+    def test_column_chunks_not_dividing_d(self, monkeypatch):
+        monkeypatch.setattr(logdet, "_STACK_ELEMENTS", 5)  # 5 columns per branch call
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((12, 12)) * 0.1
+        got = brute_force_logdet_from_branch(linear_branch(m), np.zeros((12, 1, 1)))
+        want = float(np.linalg.slogdet(np.eye(12) + m)[1])
+        assert abs(got - want) <= 1e-7
+
+    def test_column_chunks_on_attention_branch(self, monkeypatch):
+        block = build_block("embedded", "invertible", 3, seed=12)
+        x = np.random.default_rng(9).uniform(0, 1, (3, 4, 4))  # d = 48
+        monkeypatch.setattr(logdet, "_STACK_ELEMENTS", 5 * 16**2)  # 5 columns per branch call
+        got = brute_force_logdet(block, x)
+        jac = np.eye(x.size) + dense_jacobian(make_residual_branch(block), x)
+        assert abs(got - float(np.linalg.slogdet(jac)[1])) <= 1e-8
