@@ -35,6 +35,11 @@ _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
 BLOCK_FORMAT_VERSION = 1
+# A stacked branch call holds a few (grids, m, m) responses: cap grids * m^2 so
+# that each stays within 4 MB in float64. Past 64 grids the per-call overhead is
+# already spread thin, and a larger stack only adds memory and cache misses.
+_STACK_ELEMENTS = 2**19
+_STACK_GRIDS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +74,14 @@ def matrix_to_grid(mat: np.ndarray, height: int, width: int) -> FeatureGrid:
     return np.ascontiguousarray(mat.swapaxes(-1, -2)).reshape(
         mat.shape[:-2] + (mat.shape[-1], height, width)
     )
+
+
+def _grids_per_call(shape: tuple[int, ...]) -> int:
+    """How many grids of ``shape`` (height and width last) one stacked branch
+    call may take; the log-det probes, the dense oracle and the experiment's
+    image stacks all keep to it."""
+    positions = shape[-2] * shape[-1]
+    return max(1, min(_STACK_GRIDS, _STACK_ELEMENTS // positions**2))
 
 
 # ---------------------------------------------------------------------------

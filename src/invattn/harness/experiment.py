@@ -1,8 +1,9 @@
 """Desk-scale reconstruction experiment: build blocks with fresh seeded
 weights, roundtrip a batch of images through forward + fixed-point inverse,
 and emit a summary table, per-image records, reconstructions, and block
-files. Runs are deterministic given a fixed seed: per-image work items get
-index-derived seeds and results are merged by input index.
+files. Runs are deterministic given a fixed seed: each work item inverts one
+kind's stack of same-shape images in lockstep, per-image work gets
+index-derived seeds, and records merge by (kind, input index).
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from ..attention import (
     PHI_CHOICES,
     VARIANTS,
     AttentionBlock,
+    _grids_per_call,
     build_block,
     save_block,
     squeeze,
     unsqueeze,
 )
 from ..errors import InvariantViolation
-from ..inversion import InversionConfig, report_to_record, roundtrip, write_records
+from ..inversion import InversionConfig, InversionReport, report_to_record, roundtrip, write_records
 from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
 from .metrics import compute_ssim
 from .ppm import load_ppm, save_ppm
@@ -32,6 +34,8 @@ from .ppm import load_ppm, save_ppm
 SYNTHETIC_SOURCES = ("gradient", "checkerboard", "gaussian-noise")
 _VSCORE_MSE_LIMIT = 10.0  # an image counts as reconstructed below this MSE
 _MAX_IMAGE_SIZE = 64  # response maps are (H*W)^2; quadratic memory guard
+# what a record notes as its error instead of failing the run
+_RECORDED_ERRORS = (InvariantViolation, FloatingPointError, ValueError)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -229,20 +233,28 @@ def unsqueeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
     return x
 
 
+def _inversion_config(cfg: ExperimentConfig) -> InversionConfig:
+    return InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol)
+
+
 def _run_one_image(
     index: int,
     image: np.ndarray,
     block: AttentionBlock,
     cfg: ExperimentConfig,
     out_dir: Path,
+    solved: tuple[np.ndarray | None, InversionReport] | None = None,
 ) -> dict:
+    """The record of one image; ``solved`` is its (reconstruction, report)
+    from a stacked roundtrip, or None to run the roundtrip here."""
     record: dict = {"index": index, "kind": block.kind}
     if cfg.variant != "invertible":
         record["note"] = "no invertibility contract"
     try:
         working = squeeze_levels(image, cfg.squeeze_levels)
-        inv_cfg = InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol)
-        xhat, report = roundtrip(working, block, inv_cfg)
+        if solved is None:
+            solved = roundtrip(working, block, _inversion_config(cfg))
+        xhat, report = solved
         ssim = None
         if xhat is not None:
             recon = np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0)
@@ -253,12 +265,50 @@ def _run_one_image(
         record["ssim"] = ssim
         if cfg.logdet and cfg.variant == "invertible":
             _attach_logdet(record, working, block, cfg, index)
-    except (InvariantViolation, FloatingPointError, ValueError) as err:
+    except _RECORDED_ERRORS as err:
         record["error"] = f"{type(err).__name__}: {err}"
         record.setdefault("mse", float("inf"))
         record.setdefault("converged", False)
         record.setdefault("diverged", True)
     return record
+
+
+def _run_stack(
+    indices: list[int],
+    images: list[np.ndarray],
+    block: AttentionBlock,
+    cfg: ExperimentConfig,
+    out_dir: Path,
+) -> list[dict]:
+    """Records of the same-shape images at ``indices``, inverted as one stack.
+
+    If the stacked roundtrip raises, each image is run alone, so every
+    record carries the error its own roundtrip raises.
+    """
+    solved: list = [None] * len(indices)
+    try:
+        working = np.stack([squeeze_levels(images[i], cfg.squeeze_levels) for i in indices])
+        xhat, report = roundtrip(working, block, _inversion_config(cfg))
+        solved = [(None if r.diverged else x, r) for x, r in zip(xhat, report.images)]
+    except _RECORDED_ERRORS:
+        pass
+    return [
+        _run_one_image(i, images[i], block, cfg, out_dir, s) for i, s in zip(indices, solved)
+    ]
+
+
+def _image_stacks(images: list[np.ndarray], levels: int) -> list[list[int]]:
+    """Image indices grouped by shape, in first-seen order, and cut into
+    stacks of at most :func:`~invattn.attention._grids_per_call` grids of
+    the squeezed shape."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, image in enumerate(images):
+        groups.setdefault(image.shape, []).append(i)
+    stacks = []
+    for shape, indices in groups.items():
+        size = _grids_per_call((shape[-2] >> levels, shape[-1] >> levels))
+        stacks += [indices[start : start + size] for start in range(0, len(indices), size)]
+    return stacks
 
 
 def _attach_logdet(
@@ -320,8 +370,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             raise ValueError(f"image shape {img.shape} outside the supported square sizes")
 
     channels = 3 * 4**cfg.squeeze_levels
-    summaries: list[KindSummary] = []
-    all_records: list[dict] = []
+    blocks = []
     for kind_index, kind in enumerate(cfg.kinds):
         block = build_block(
             kind,
@@ -338,13 +387,19 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if cfg.stress_weight_scale != 1.0:
             _scale_weights_inplace(block, cfg.stress_weight_scale)
         save_block(block, out_dir / f"block_{kind}.json")
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(
-                pool.map(
-                    lambda pair: _run_one_image(pair[0], pair[1], block, cfg, out_dir),
-                    enumerate(images),
-                )
-            )
+        blocks.append(block)
+
+    # One work item per (kind, image stack); records merge by (kind, index).
+    items = [(k, stack) for k in range(len(blocks)) for stack in _image_stacks(images, cfg.squeeze_levels)]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        done = pool.map(lambda item: _run_stack(item[1], images, blocks[item[0]], cfg, out_dir), items)
+        by_kind: list[list[dict]] = [[] for _ in blocks]
+        for (k, _), records in zip(items, done):
+            by_kind[k] += records
+    summaries: list[KindSummary] = []
+    all_records: list[dict] = []
+    for kind, records in zip(cfg.kinds, by_kind):
+        records.sort(key=lambda r: r["index"])
         summaries.append(_aggregate(kind, records))
         all_records.extend(records)
 

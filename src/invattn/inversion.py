@@ -44,7 +44,13 @@ class InversionConfig:
 
 @dataclass
 class InversionReport:
-    """Per-sample inversion outcome."""
+    """Inversion outcome of one grid, or of a stack of grids.
+
+    For a stack, ``iterations_used`` counts lockstep steps, ``final_residual``
+    is the largest image residual, ``converged`` holds only when every image
+    converged, ``diverged`` is set when any image diverged, and ``images``
+    holds the per-image reports.
+    """
 
     iterations_used: int
     final_residual: float
@@ -52,6 +58,25 @@ class InversionReport:
     reconstruction_mse: float | None = None
     diverged: bool = False
     trace: list[float] | None = None
+    images: list[InversionReport] | None = None
+
+
+def _branch_step(
+    g: Callable[[FeatureGrid], FeatureGrid], xs: np.ndarray
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """One branch call on a stack, and the error of each image that raised.
+
+    When the stacked call raises, the step is rerun image by image, so only
+    the images that fail are blamed; their output rows are NaN.
+    """
+    try:
+        return np.asarray(g(xs)), {}
+    except (NonFiniteError, FloatingPointError) as err:
+        if len(xs) == 1:
+            return np.full_like(xs, np.nan), {0: err}
+    rows = [_branch_step(g, xs[j : j + 1]) for j in range(len(xs))]
+    errors = {j: err[0] for j, (_, err) in enumerate(rows) if err}
+    return np.concatenate([gx for gx, _ in rows]), errors
 
 
 def fixed_point_invert(
@@ -61,42 +86,84 @@ def fixed_point_invert(
 ) -> tuple[FeatureGrid, InversionReport]:
     """Invert z = x + g(x) by iterating x <- z - g(x).
 
-    Raises :class:`DivergenceError` (carrying the iteration index) if the
-    branch produces non-finite values mid-iteration; a bad answer is never
-    returned silently.
+    ``z`` is one (C, H, W) grid or a (B, C, H, W) stack; a grid is solved as
+    a stack of one. A stack is solved in lockstep: each step is one call of
+    ``g``, which must then map a stack, on the images still iterating. Each
+    image keeps its own iteration count, residual, trace and divergence
+    flag, and leaves the stack once it converges, so its result equals a
+    solve of that image alone whenever ``g`` maps a stack grid by grid.
+
+    An image whose branch output or iterate is non-finite, or whose branch
+    call raises, diverges at its own iteration: for one grid this raises
+    :class:`DivergenceError` carrying the iteration index; in a stack the
+    image's slot is NaN, its report says ``diverged``, and the other images
+    go on. A bad answer is never returned silently.
     """
     z = as_grid(z)
     if cfg is None:
         cfg = InversionConfig()
-    x = z.copy()
-    trace: list[float] | None = [] if cfg.record_trace else None
-    diff = np.inf
-    early = False
-    iterations = 0
+    single = z.ndim == 3
+    zs = z[None] if single else z
+    step = (lambda xs: g(xs[0])[None]) if single else g
+    n = zs.shape[0]
+    x = zs.copy()
+    iterations = np.zeros(n, dtype=int)
+    diffs = np.full(n, np.inf)
+    early = np.zeros(n, dtype=bool)
+    traces = [[] if cfg.record_trace else None for _ in range(n)]
+    failures: dict[int, DivergenceError] = {}
+    active = np.arange(n)
     for i in range(cfg.max_iters):
-        try:
-            gx = g(x)
-        except (NonFiniteError, FloatingPointError) as err:
-            raise DivergenceError(f"residual branch diverged: {err}", iteration=i + 1) from err
-        if not np.isfinite(gx).all():
-            raise DivergenceError("residual branch produced non-finite values", iteration=i + 1)
-        x_next = z - gx
-        if not np.isfinite(x_next).all():
-            raise DivergenceError("iterate overflowed", iteration=i + 1)
-        diff = float(np.max(np.abs(x_next - x)))
-        if trace is not None:
-            trace.append(diff)
-        x = x_next
-        iterations = i + 1
-        if diff < cfg.early_stop_tol:
-            early = True
+        xa = x[active]
+        gx, errors = _branch_step(step, xa)
+        x_next = zs[active] - gx
+        if x_next.dtype != x.dtype:
+            x = x.astype(x_next.dtype)
+        rows = len(active)
+        g_ok = np.isfinite(gx.reshape(rows, -1)).all(axis=1)
+        ok = g_ok & np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
+        for row in np.flatnonzero(~ok):
+            if row in errors:
+                err = DivergenceError(f"residual branch diverged: {errors[row]}", iteration=i + 1)
+                err.__cause__ = errors[row]
+            elif not g_ok[row]:
+                err = DivergenceError("residual branch produced non-finite values", iteration=i + 1)
+            else:
+                err = DivergenceError("iterate overflowed", iteration=i + 1)
+            failures[int(active[row])] = err
+        iterations[active] = i + 1
+        diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
+        live = active[ok]
+        x[live] = x_next[ok]
+        diffs[live] = diff[ok]
+        if cfg.record_trace:
+            for image, value in zip(live, diff[ok]):
+                traces[image].append(float(value))
+        early[live] = diff[ok] < cfg.early_stop_tol
+        active = live[~early[live]]
+        if not active.size:
             break
-    converged = early or diff <= cfg.early_stop_tol * 10.0
+    if single and failures:
+        raise failures[0]
+    reports = [
+        InversionReport(
+            iterations_used=int(iterations[j]),
+            final_residual=float(diffs[j]) if j not in failures else np.inf,
+            converged=j not in failures and bool(early[j] or diffs[j] <= cfg.early_stop_tol * 10.0),
+            diverged=j in failures,
+            trace=traces[j],
+        )
+        for j in range(n)
+    ]
+    if single:
+        return x[0], reports[0]
+    x[list(failures)] = np.nan
     report = InversionReport(
-        iterations_used=iterations,
-        final_residual=diff,
-        converged=converged,
-        trace=trace,
+        iterations_used=int(iterations.max()),
+        final_residual=max(r.final_residual for r in reports),
+        converged=all(r.converged for r in reports),
+        diverged=bool(failures),
+        images=reports,
     )
     return x, report
 
@@ -191,6 +258,17 @@ def _mse_0_255(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((255.0 * (np.asarray(a, dtype=np.float64) - b)) ** 2))
 
 
+def _diverged_report(iteration: int) -> InversionReport:
+    return InversionReport(
+        iterations_used=iteration,
+        final_residual=np.inf,
+        converged=False,
+        reconstruction_mse=np.inf,
+        diverged=True,
+        trace=None,
+    )
+
+
 def roundtrip(
     x: FeatureGrid,
     block: AttentionBlock,
@@ -198,9 +276,13 @@ def roundtrip(
 ) -> tuple[FeatureGrid | None, InversionReport]:
     """Forward through the block, invert, and measure reconstruction.
 
-    A mid-iteration divergence is converted into a report with
-    ``diverged=True`` and infinite residual/MSE (the reconstruction is
-    None); it is the caller's contract that the block is invertible.
+    ``x`` is one grid or a stack; a stack is inverted in lockstep (see
+    :func:`fixed_point_invert`), each report in ``report.images`` carries its
+    image's MSE, and the stack report carries the largest. A mid-iteration
+    divergence gives a report with ``diverged=True`` and infinite
+    residual/MSE, as it would for that image alone; the reconstruction of
+    one grid is then None, and a diverged image's slot in a stack is NaN.
+    It is the caller's contract that the block is invertible.
     """
     x = as_grid(x)
     z = residual_forward(x, block)
@@ -210,16 +292,17 @@ def roundtrip(
     try:
         xhat, report = fixed_point_invert(z, branch, cfg)
     except DivergenceError as err:
-        report = InversionReport(
-            iterations_used=err.iteration,
-            final_residual=np.inf,
-            converged=False,
-            reconstruction_mse=np.inf,
-            diverged=True,
-            trace=None,
-        )
-        return None, report
-    report.reconstruction_mse = _mse_0_255(x, xhat)
+        return None, _diverged_report(err.iteration)
+    if report.images is None:
+        report.reconstruction_mse = _mse_0_255(x, xhat)
+        return xhat, report
+    report.images = [
+        _diverged_report(r.iterations_used) if r.diverged else r for r in report.images
+    ]
+    for image, image_hat, r in zip(x, xhat, report.images):
+        if not r.diverged:
+            r.reconstruction_mse = _mse_0_255(image, image_hat)
+    report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)
     return xhat, report
 
 

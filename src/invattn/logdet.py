@@ -21,17 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branch
+from .attention import AttentionBlock, FeatureGrid, _grids_per_call, as_grid, make_residual_branch
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
 
 DENSE_ORACLE_MAX_DIM = 768
 """Largest dimension d the dense-Jacobian log-det oracle accepts."""
-# A stacked branch call holds a few (grids, m, m) responses: cap grids * m^2 so
-# that each stays within 4 MB in float64. Past 64 grids the per-call overhead is
-# already spread thin, and a larger stack only adds memory and cache misses.
-_STACK_ELEMENTS = 2**19
-_STACK_GRIDS = 64
 PROBE_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 
@@ -109,12 +104,6 @@ def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np
     return rng.standard_normal(shape)
 
 
-def _grids_per_call(x: FeatureGrid) -> int:
-    """How many grids shaped like ``x`` one stacked branch call may take."""
-    positions = x.shape[-2] * x.shape[-1]
-    return max(1, min(_STACK_GRIDS, _STACK_ELEMENTS // positions**2))
-
-
 def _probe_trace_samples(
     g: Callable[[FeatureGrid], FeatureGrid],
     x: FeatureGrid,
@@ -132,7 +121,7 @@ def _probe_trace_samples(
     keeps zero samples from that step on: every later power is exactly
     zero. The other probes go on.
     """
-    chunk = _grids_per_call(x)
+    chunk = _grids_per_call(x.shape)
     if v0.shape[0] > chunk:
         parts = [
             _probe_trace_samples(g, x, v0[start : start + chunk], k, eps)
@@ -250,7 +239,7 @@ def brute_force_logdet_from_branch(
     dim = x.size
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")
-    chunk = _grids_per_call(x)
+    chunk = _grids_per_call(x.shape)
     jac = np.empty((dim, dim))
     for start in range(0, dim, chunk):
         cols = np.arange(start, min(start + chunk, dim))

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invattn import attention
+from invattn.attention import KINDS, load_block, squeeze
 from invattn.errors import PpmParseError
 from invattn.harness.cli import main
 from invattn.harness.experiment import (
@@ -13,15 +15,17 @@ from invattn.harness.experiment import (
     EXIT_IO,
     EXIT_OK,
     ExperimentConfig,
+    _image_stacks,
     config_from_mapping,
     format_summary,
+    load_image_dir,
     parse_config_file,
     run_experiment,
     synthetic_batch,
 )
 from invattn.harness.metrics import compute_mse, compute_ssim
 from invattn.harness.ppm import load_ppm, save_ppm
-from invattn.inversion import read_records
+from invattn.inversion import InversionConfig, read_records, report_to_record, roundtrip
 
 
 def lattice_grid(rng, shape=(3, 6, 5)):
@@ -379,6 +383,44 @@ class TestRunExperiment:
         cfg = small_config(tmp_path, image_dir=str(img_dir), batch=1)
         assert run_experiment(cfg) == EXIT_OK
         assert len(read_records(Path(cfg.out_dir) / "records.jsonl")) == 3
+
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        def outputs(workers, stack_elements=None):
+            if stack_elements is not None:
+                monkeypatch.setattr(attention, "_STACK_ELEMENTS", stack_elements)
+            out = tmp_path / f"w{workers}-{stack_elements}"
+            cfg = small_config(tmp_path, kinds=KINDS, batch=5, workers=workers, out_dir=str(out))
+            run_experiment(cfg)
+            names = ["records.jsonl", "summary.txt"] + sorted(f.name for f in out.glob("recon_*.ppm"))
+            return {name: (out / name).read_bytes() for name in names}
+
+        want = outputs(1)
+        assert len(want) == 2 + 4 * 5
+        assert outputs(2) == want
+        assert outputs(4) == want
+        assert outputs(2, stack_elements=2 * 16**2) == want  # stacks of at most 2 images
+
+    def test_image_dir_shapes_stack_apart_and_match_solo_roundtrips(self, tmp_path):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(13)
+        sizes = (8, 4, 8, 4, 8)
+        for i, size in enumerate(sizes):
+            save_ppm(lattice_grid(rng, (3, size, size)), img_dir / f"img_{i}.ppm")
+        cfg = small_config(tmp_path, kinds=("gaussian", "dot"), image_dir=str(img_dir))
+        assert _image_stacks(load_image_dir(img_dir), cfg.squeeze_levels) == [[0, 2, 4], [1, 3]]
+        assert run_experiment(cfg) == EXIT_OK
+        out = Path(cfg.out_dir)
+        records = read_records(out / "records.jsonl")
+        assert [(r["kind"], r["index"]) for r in records] == [
+            (kind, i) for kind in cfg.kinds for i in range(len(sizes))
+        ]
+        for record in records:
+            block = load_block(out / f"block_{record['kind']}.json")
+            image = load_ppm(img_dir / f"img_{record['index']}.ppm")
+            _, report = roundtrip(squeeze(image), block, InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol))
+            solo = report_to_record(report, index=record["index"], kind=record["kind"])
+            assert {key: record[key] for key in solo} == solo
 
     def test_empty_image_dir_rejected(self, tmp_path):
         empty = tmp_path / "none"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from invattn.attention import build_block, make_residual_branch, residual_forward
+from invattn.attention import build_block, make_residual_branch, residual_forward, squeeze
 from invattn.errors import DivergenceError
 from invattn.harness.experiment import _scale_weights_inplace
 from invattn.inversion import (
@@ -121,6 +121,151 @@ class TestFixedPointInvert:
         x2, r2 = fixed_point_invert(z, make_residual_branch(block), cfg)
         assert np.array_equal(x1, x2)
         assert dataclasses.asdict(r1) == dataclasses.asdict(r2)
+
+
+def solo_solves(z, g, cfg, skip=()):
+    """Each image of the stack ``z`` but those in ``skip`` solved alone, as
+    (x, report) pairs."""
+    return {j: fixed_point_invert(image, g, cfg) for j, image in enumerate(z) if j not in skip}
+
+
+def assert_matches_solo(x, report, solos):
+    for j, (x_solo, r_solo) in solos.items():
+        assert np.array_equal(x[j], x_solo)  # the same bits
+        assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
+
+
+def spread_stack(kind, seed):
+    """A squeezed 12x4x4 block and a stack of its outputs whose images
+    converge at different steps (input scales 0.05 to 1.5)."""
+    block = build_block(kind, "invertible", 12, seed=seed)
+    rng = np.random.default_rng(seed)
+    images = [squeeze(scale * rng.uniform(0.0, 1.0, (3, 8, 8))) for scale in (0.05, 0.3, 1.0, 1.5)]
+    return block, residual_forward(np.stack(images), block)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("kind", ["gaussian", "embedded", "dot", "concat"])
+    def test_stack_equals_loop_of_solo_solves(self, kind):
+        block, z = spread_stack(kind, seed=21)
+        branch = make_residual_branch(block)
+        cfg = InversionConfig(max_iters=60, early_stop_tol=1e-10, record_trace=True)
+        x, report = fixed_point_invert(z, branch, cfg)
+        solos = solo_solves(z, branch, cfg)
+        assert_matches_solo(x, report, solos)
+        steps = [r.iterations_used for _, r in solos.values()]
+        assert len(set(steps)) > 1  # images really leave the stack at different steps
+        assert report.iterations_used == max(steps)
+        assert report.converged == all(r.converged for _, r in solos.values())
+        assert report.final_residual == max(r.final_residual for _, r in solos.values())
+        assert not report.diverged
+        assert report.trace is None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "embedded", "dot", "concat"])
+    def test_stacked_roundtrip_equals_solo_roundtrips(self, kind):
+        block = build_block(kind, "invertible", 12, seed=22)
+        rng = np.random.default_rng(23)
+        images = np.stack([squeeze(rng.uniform(0.0, 1.0, (3, 8, 8))) for _ in range(3)])
+        xhat, report = roundtrip(images, block)
+        for j, image in enumerate(images):
+            x_solo, r_solo = roundtrip(image, block)
+            assert np.array_equal(xhat[j], x_solo)
+            assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
+        assert report.reconstruction_mse == max(r.reconstruction_mse for r in report.images)
+
+    def test_nan_image_leaves_the_others_unchanged(self):
+        block, z = spread_stack("embedded", seed=24)
+        branch = make_residual_branch(block)
+        z[2] += 100.0  # the marked image: its branch output is NaN
+
+        def poisoned(xs):
+            out = branch(xs)
+            out[xs.reshape(len(xs), -1).max(axis=1) > 50.0] = np.nan
+            return out
+
+        cfg = InversionConfig(record_trace=True)
+        x, report = fixed_point_invert(z, poisoned, cfg)
+        assert_matches_solo(x, report, solo_solves(z, branch, cfg, skip={2}))
+        bad = report.images[2]
+        assert bad.diverged and not bad.converged
+        assert bad.iterations_used == 1
+        assert bad.final_residual == np.inf
+        assert np.isnan(x[2]).all()
+        assert report.diverged and not report.converged
+
+    def test_overflow_diverges_at_the_images_own_iteration(self):
+        # g(y) = 0.5 y, except 1e200 y where |y| > 10: z = 20 overflows at step 2
+        def g(xs):
+            big = np.abs(xs).reshape(len(xs), -1).max(axis=1) > 10.0
+            return xs * np.where(big, 1e200, 0.5)[:, None, None, None]
+
+        z = np.stack([np.full((1, 2, 2), v) for v in (1.5, 20.0, -3.0)])
+        cfg = InversionConfig(early_stop_tol=1e-14, record_trace=True)
+        x, report = fixed_point_invert(z, g, cfg)
+        bad = report.images[1]
+        assert bad.diverged and bad.iterations_used == 2
+        assert len(bad.trace) == 1  # its first step was finite
+        assert np.allclose(x[[0, 2]].ravel(), [1.0] * 4 + [-2.0] * 4, atol=1e-13)
+        for j in (0, 2):
+            assert report.images[j].converged
+        assert report.iterations_used == max(r.iterations_used for r in report.images)
+
+    def test_raising_stacked_call_is_attributed_to_the_right_image(self):
+        # a dot block's softplus overflows to inf on a huge grid, and the
+        # response normalization raises NonFiniteError for the whole stack
+        block, z = spread_stack("dot", seed=25)
+        branch = make_residual_branch(block)
+        z[1] = 1e200
+        calls = []
+
+        def counted(xs):
+            calls.append(len(xs))
+            return branch(xs)
+
+        x, report = fixed_point_invert(z, counted, InversionConfig())
+        assert [r.diverged for r in report.images] == [False, True, False, False]
+        assert report.images[1].iterations_used == 1
+        assert calls[:5] == [4, 1, 1, 1, 1]  # the failing step, then image by image
+        assert calls[5] == 3  # the other three go on as one stack
+        assert_matches_solo(x, report, solo_solves(z, branch, InversionConfig(), skip={1}))
+
+    def test_raise_mid_solve_is_attributed_at_its_iteration(self):
+        def g(xs):
+            if (np.abs(xs) > 1e100).any():
+                raise FloatingPointError("too large")
+            big = np.abs(xs).reshape(len(xs), -1).max(axis=1) > 10.0
+            return xs * np.where(big, 1e200, 0.5)[:, None, None, None]
+
+        z = np.stack([np.full((1, 2, 2), v) for v in (1.5, 20.0, 0.25)])
+        x, report = fixed_point_invert(z, g, InversionConfig())
+        assert [r.diverged for r in report.images] == [False, True, False]
+        assert report.images[1].iterations_used == 2
+        assert np.isnan(x[1]).all()
+        assert np.allclose(x[[0, 2]].ravel(), [1.0] * 4 + [0.25 / 1.5] * 4)
+
+    def test_single_grid_still_raises_with_its_iteration(self):
+        grow = lambda y: y * np.where(np.abs(y) > 10.0, 1e200, 0.5)
+        with pytest.raises(DivergenceError) as excinfo:
+            fixed_point_invert(np.full((1, 2, 2), 20.0), grow)
+        assert excinfo.value.iteration == 2
+
+        def raising(y):
+            raise FloatingPointError("overflow in the branch")
+
+        with pytest.raises(DivergenceError) as excinfo:
+            fixed_point_invert(np.ones((1, 2, 2)), raising)
+        assert excinfo.value.iteration == 1
+        assert isinstance(excinfo.value.__cause__, FloatingPointError)
+
+    def test_single_grid_branch_sees_one_grid(self):
+        shapes = []
+
+        def g(y):
+            shapes.append(y.shape)
+            return 0.5 * y
+
+        fixed_point_invert(np.ones((2, 3, 3)), g, InversionConfig(max_iters=3))
+        assert shapes == [(2, 3, 3)] * 3
 
 
 class TestEstimateLipschitz:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invattn import logdet
+from invattn import attention
 from invattn.attention import build_block, make_residual_branch
 from invattn.errors import InvariantViolation
 from invattn.logdet import (
@@ -239,7 +239,7 @@ class TestLogDetSeries:
         x = np.random.default_rng(17).uniform(0, 1, (3, 2, 2))
         cfg = LogDetConfig(series_terms=6, hutchinson_samples=10, seed=18)
         whole = logdet_series(block, x, cfg)
-        monkeypatch.setattr(logdet, "_STACK_ELEMENTS", 3 * 16)  # 3 probes per branch call
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 3 * 16)  # 3 probes per branch call
         chunked = logdet_series(block, x, cfg)
         assert np.abs(np.subtract(chunked.per_term_contributions, whole.per_term_contributions)).max() <= 1e-15
 
@@ -295,7 +295,7 @@ class TestBruteForce:
         assert abs(got - want) <= 1e-7
 
     def test_column_chunks_not_dividing_d(self, monkeypatch):
-        monkeypatch.setattr(logdet, "_STACK_ELEMENTS", 5)  # 5 columns per branch call
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 5)  # 5 columns per branch call
         rng = np.random.default_rng(8)
         m = rng.standard_normal((12, 12)) * 0.1
         got = brute_force_logdet_from_branch(linear_branch(m), np.zeros((12, 1, 1)))
@@ -305,7 +305,7 @@ class TestBruteForce:
     def test_column_chunks_on_attention_branch(self, monkeypatch):
         block = build_block("embedded", "invertible", 3, seed=12)
         x = np.random.default_rng(9).uniform(0, 1, (3, 4, 4))  # d = 48
-        monkeypatch.setattr(logdet, "_STACK_ELEMENTS", 5 * 16**2)  # 5 columns per branch call
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 5 * 16**2)  # 5 columns per branch call
         got = brute_force_logdet(block, x)
         jac = np.eye(x.size) + dense_jacobian(make_residual_branch(block), x)
         assert abs(got - float(np.linalg.slogdet(jac)[1])) <= 1e-8
