@@ -6,6 +6,11 @@ contraction with factor c < 1 the iterate error shrinks by at least c per
 step. The residual reported per step is the max-abs fixed-point defect
 z - x - g(x), which equals the successive-iterate difference and bounds the
 remaining reconstruction error by a 1/(1-c) factor.
+
+A (B, C, H, W) stack of grids is inverted in lockstep: each step is one
+branch call on the images still iterating, every image keeps its own
+iteration count, residual, trace and divergence flag, and an image that
+converges or diverges leaves the stack, so the others are unaffected.
 """
 
 from __future__ import annotations
@@ -106,50 +111,55 @@ def fixed_point_invert(
     zs = z[None] if single else z
     step = (lambda xs: g(xs[0])[None]) if single else g
     n = zs.shape[0]
-    x = zs.copy()
     iterations = np.zeros(n, dtype=int)
     diffs = np.full(n, np.inf)
     early = np.zeros(n, dtype=bool)
     traces = [[] if cfg.record_trace else None for _ in range(n)]
     failures: dict[int, DivergenceError] = {}
-    active = np.arange(n)
+    # the images still iterating, their targets and their iterates; an image
+    # that leaves the stack has its last iterate written to x
+    active, za, xa = np.arange(n), zs, zs
+    x = None
     for i in range(cfg.max_iters):
-        xa = x[active]
         gx, errors = _branch_step(step, xa)
-        x_next = zs[active] - gx
-        if x_next.dtype != x.dtype:
-            x = x.astype(x_next.dtype)
+        x_next = za - gx
+        if x is None:
+            x = np.empty(zs.shape, dtype=x_next.dtype)
         rows = len(active)
-        g_ok = np.isfinite(gx.reshape(rows, -1)).all(axis=1)
-        ok = g_ok & np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
-        for row in np.flatnonzero(~ok):
-            if row in errors:
-                err = DivergenceError(f"residual branch diverged: {errors[row]}", iteration=i + 1)
-                err.__cause__ = errors[row]
-            elif not g_ok[row]:
-                err = DivergenceError("residual branch produced non-finite values", iteration=i + 1)
-            else:
-                err = DivergenceError("iterate overflowed", iteration=i + 1)
-            failures[int(active[row])] = err
-        iterations[active] = i + 1
+        ok = np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
         diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
-        live = active[ok]
-        x[live] = x_next[ok]
-        diffs[live] = diff[ok]
+        iterations[active] = i + 1
+        diffs[active] = diff
+        if not ok.all():
+            for row in np.flatnonzero(~ok):
+                if row in errors:
+                    err = DivergenceError(f"residual branch diverged: {errors[row]}", iteration=i + 1)
+                    err.__cause__ = errors[row]
+                elif not np.isfinite(gx[row]).all():
+                    err = DivergenceError("residual branch produced non-finite values", iteration=i + 1)
+                else:
+                    err = DivergenceError("iterate overflowed", iteration=i + 1)
+                failures[int(active[row])] = err
+                diffs[active[row]] = np.inf
         if cfg.record_trace:
-            for image, value in zip(live, diff[ok]):
-                traces[image].append(float(value))
-        early[live] = diff[ok] < cfg.early_stop_tol
-        active = live[~early[live]]
+            for image in active[ok]:
+                traces[image].append(float(diffs[image]))
+        stay = ok & (diff >= cfg.early_stop_tol)
+        if not stay.all():
+            early[active[ok & ~stay]] = True
+            x[active[~stay]] = x_next[~stay]
+            active, za, x_next = active[stay], za[stay], x_next[stay]
+        xa = x_next
         if not active.size:
             break
+    x[active] = xa
     if single and failures:
         raise failures[0]
     reports = [
         InversionReport(
             iterations_used=int(iterations[j]),
-            final_residual=float(diffs[j]) if j not in failures else np.inf,
-            converged=j not in failures and bool(early[j] or diffs[j] <= cfg.early_stop_tol * 10.0),
+            final_residual=float(diffs[j]),
+            converged=bool(early[j] or diffs[j] <= cfg.early_stop_tol * 10.0),
             diverged=j in failures,
             trace=traces[j],
         )
