@@ -92,7 +92,13 @@ def _grids_per_call(shape: tuple[int, ...]) -> int:
 def apply_phi(x: np.ndarray, selector: str) -> np.ndarray:
     """Apply the selected activation; output is >= 0 for every real input."""
     if selector == "softplus":
-        return np.logaddexp(0.0, x)
+        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one buffer: stable at
+        # both ends and cheaper than logaddexp
+        out = np.abs(x)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        return np.add(out, x, out=out, where=x > 0.0)
     if selector == "relu":
         return np.maximum(x, 0.0)
     if selector == "elu":

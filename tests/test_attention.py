@@ -95,6 +95,24 @@ class TestPhi:
         out = apply_phi(np.array([1000.0]), "softplus")
         assert np.isfinite(out[0]) and abs(out[0] - 1000.0) < 1e-9
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_softplus_within_two_ulp_of_logaddexp(self, dtype):
+        small, big = (1e-300, 1e308) if dtype == np.float64 else (1e-38, 3e38)
+        edges = [0.0, small, -small, 40.0, -40.0, 800.0, -800.0, big, -big]
+        spread = np.random.default_rng(0).normal(0.0, 20.0, 1000)
+        x = np.concatenate([edges, spread, np.linspace(-40.0, 40.0, 801)]).astype(dtype)
+        before = x.copy()
+        got = apply_phi(x, "softplus")
+        want = np.logaddexp(dtype(0.0), x)
+        assert got.dtype == dtype
+        assert np.array_equal(x, before)  # the input is not overwritten
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+        assert np.array_equal(got[: len(edges)], want[: len(edges)])  # exact at the edge points
+
+    def test_softplus_maps_a_stack(self):
+        x = np.random.default_rng(1).normal(0.0, 5.0, (3, 4, 4))
+        assert np.array_equal(apply_phi(x, "softplus"), np.stack([apply_phi(a, "softplus") for a in x]))
+
     def test_elu_shift_continuous_at_zero(self):
         eps = 1e-9
         vals = apply_phi(np.array([-eps, 0.0, eps]), "elu")
