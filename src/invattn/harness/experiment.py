@@ -390,7 +390,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         blocks.append(block)
 
     # One work item per (kind, image stack); records merge by (kind, index).
-    items = [(k, stack) for k in range(len(blocks)) for stack in _image_stacks(images, cfg.squeeze_levels)]
+    stacks = _image_stacks(images, cfg.squeeze_levels)
+    items = [(k, stack) for k in range(len(blocks)) for stack in stacks]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         done = pool.map(lambda item: _run_stack(item[1], images, blocks[item[0]], cfg, out_dir), items)
         by_kind: list[list[dict]] = [[] for _ in blocks]
