@@ -109,6 +109,7 @@ def fixed_point_invert(
         cfg = InversionConfig()
     single = z.ndim == 3
     zs = z[None] if single else z
+    # one grid reaches g as a grid, so g need not map stacks to solve one
     step = (lambda xs: g(xs[0])[None]) if single else g
     n = zs.shape[0]
     iterations = np.zeros(n, dtype=int)
@@ -130,17 +131,16 @@ def fixed_point_invert(
         diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
         iterations[active] = i + 1
         diffs[active] = diff
-        if not ok.all():
-            for row in np.flatnonzero(~ok):
-                if row in errors:
-                    err = DivergenceError(f"residual branch diverged: {errors[row]}", iteration=i + 1)
-                    err.__cause__ = errors[row]
-                elif not np.isfinite(gx[row]).all():
-                    err = DivergenceError("residual branch produced non-finite values", iteration=i + 1)
-                else:
-                    err = DivergenceError("iterate overflowed", iteration=i + 1)
-                failures[int(active[row])] = err
-                diffs[active[row]] = np.inf
+        for row in np.flatnonzero(~ok):
+            if row in errors:
+                err = DivergenceError(f"residual branch diverged: {errors[row]}", iteration=i + 1)
+                err.__cause__ = errors[row]
+            elif not np.isfinite(gx[row]).all():
+                err = DivergenceError("residual branch produced non-finite values", iteration=i + 1)
+            else:
+                err = DivergenceError("iterate overflowed", iteration=i + 1)
+            failures[int(active[row])] = err
+            diffs[active[row]] = np.inf
         if cfg.record_trace:
             for image in active[ok]:
                 traces[image].append(float(diffs[image]))
@@ -306,12 +306,11 @@ def roundtrip(
     if report.images is None:
         report.reconstruction_mse = _mse_0_255(x, xhat)
         return xhat, report
-    report.images = [
-        _diverged_report(r.iterations_used) if r.diverged else r for r in report.images
-    ]
-    for image, image_hat, r in zip(x, xhat, report.images):
-        if not r.diverged:
-            r.reconstruction_mse = _mse_0_255(image, image_hat)
+    for j, r in enumerate(report.images):
+        if r.diverged:
+            report.images[j] = _diverged_report(r.iterations_used)
+        else:
+            r.reconstruction_mse = _mse_0_255(x[j], xhat[j])
     report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)
     return xhat, report
 

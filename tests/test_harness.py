@@ -398,7 +398,8 @@ class TestRunExperiment:
         assert len(want) == 2 + 4 * 5
         assert outputs(2) == want
         assert outputs(4) == want
-        assert outputs(2, stack_elements=2 * 16**2) == want  # stacks of at most 2 images
+        assert outputs(2, stack_elements=2 * 16**2) == want
+        assert _image_stacks(synthetic_batch("checkerboard", 8, 5, seed=11), 1) == [[0, 1], [2, 3], [4]]
 
     def test_image_dir_shapes_stack_apart_and_match_solo_roundtrips(self, tmp_path):
         img_dir = tmp_path / "imgs"

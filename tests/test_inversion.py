@@ -173,6 +173,20 @@ class TestStackedSolve:
             assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
         assert report.reconstruction_mse == max(r.reconstruction_mse for r in report.images)
 
+    def test_stacked_roundtrip_divergences_match_solo_roundtrips(self):
+        block = build_block("gaussian", "invertible", 3, seed=13)
+        _scale_weights_inplace(block, 50.0)
+        rng = np.random.default_rng(9)
+        images = np.stack([scale * rng.uniform(0.0, 1.0, (3, 6, 6)) for scale in (0.1, 0.5, 1.0)])
+        xhat, report = roundtrip(images, block)
+        solos = [roundtrip(image, block) for image in images]
+        assert all(r.diverged for _, r in solos)
+        assert len({r.iterations_used for _, r in solos}) > 1
+        for j, (x_solo, r_solo) in enumerate(solos):
+            assert x_solo is None and np.isnan(xhat[j]).all()
+            assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
+        assert report.diverged and report.reconstruction_mse == np.inf
+
     def test_nan_image_leaves_the_others_unchanged(self):
         block, z = spread_stack("embedded", seed=24)
         branch = make_residual_branch(block)
@@ -205,6 +219,7 @@ class TestStackedSolve:
         bad = report.images[1]
         assert bad.diverged and bad.iterations_used == 2
         assert len(bad.trace) == 1  # its first step was finite
+        assert np.isnan(x[1]).all()  # not the overflowed iterate
         assert np.allclose(x[[0, 2]].ravel(), [1.0] * 4 + [-2.0] * 4, atol=1e-13)
         for j in (0, 2):
             assert report.images[j].converged
