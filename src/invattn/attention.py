@@ -41,6 +41,8 @@ BLOCK_FORMAT_VERSION = 1
 _STACK_ELEMENTS = 2**19
 _STACK_GRIDS = 64
 
+_REFRESH_ITERS = 5  # power-iteration steps when re-normalizing from a kept state
+
 
 # ---------------------------------------------------------------------------
 # Feature grids
@@ -139,11 +141,12 @@ class SpectralLinear:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
-    def normalize(self, refresh_iters: int = 5, seed: int = 0) -> None:
+    def normalize(self, seed: int = 0) -> None:
         """Refresh the sigma estimate and rescale the weight under the bound.
 
         The cold start runs power iteration to machine convergence so the
-        enforced bound is tight and repeated calls are idempotent.
+        enforced bound is tight and repeated calls are idempotent; a refresh
+        runs a few more iterations from the kept state.
         """
         if self.bound is None:
             return
@@ -152,7 +155,7 @@ class SpectralLinear:
         if self.state is None:
             self.state = power_iteration(w64, None, iters=1000, tol=1e-15, seed=seed)
         else:
-            power_iteration(w64, self.state, iters=refresh_iters, tol=1e-15)
+            power_iteration(w64, self.state, iters=_REFRESH_ITERS, tol=1e-15)
         self.weight = spectral_normalize(w64, self.bound, self.state).astype(dtype, copy=False)
 
 
@@ -237,11 +240,11 @@ class AttentionBlock:
     def channels(self) -> int:
         return self.focus.in_dim
 
-    def normalize_weights(self, refresh_iters: int = 5, seed: int = 0) -> None:
+    def normalize_weights(self, seed: int = 0) -> None:
         """Enforce all spectral bounds; run before any forward fan-out."""
         for i, w in enumerate((self.focus, self.last, self.embed1, self.embed2)):
             if w is not None:
-                w.normalize(refresh_iters=refresh_iters, seed=seed + i)
+                w.normalize(seed=seed + i)
 
 
 def build_block(
@@ -252,14 +255,14 @@ def build_block(
     phi: str = "softplus",
     seed: int = 0,
     dtype: np.dtype = np.float64,
-    embed_dim: int | None = None,
     logit_scale: float = 1.0,
     column_sum_target: float = 1.0,
     global_sum: bool = False,
     constrain_embeddings: bool = False,
-    normalize: bool = True,
 ) -> AttentionBlock:
-    """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights.
+    """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights,
+    embeddings of width ``max(1, channels // 2)``, and every spectral bound
+    enforced.
 
     ``constrain_embeddings`` additionally bounds the response-path weights
     (one of the invertibility-enhancement knobs); the default leaves them
@@ -278,7 +281,7 @@ def build_block(
     embed1 = embed2 = None
     pair_scorer = None
     if kind != "gaussian":
-        width = embed_dim if embed_dim is not None else max(1, channels // 2)
+        width = max(1, channels // 2)
         embed1 = SpectralLinear(init(width, channels), bound=embed_bound)
         embed2 = SpectralLinear(init(width, channels), bound=embed_bound)
         if kind == "concat":
@@ -301,8 +304,7 @@ def build_block(
         column_sum_target=column_sum_target,
         global_sum=global_sum,
     )
-    if normalize:
-        block.normalize_weights(seed=seed)
+    block.normalize_weights(seed=seed)
     return block
 
 

@@ -3,8 +3,9 @@
 Subcommands: `run` (full experiment), `invert` (single-image roundtrip),
 `logdet` (series estimate + dense oracle for one block), `lipschitz`
 (empirical constant of one block's residual branch), `selftest` (oracle
-suites). Exit codes: 0 success, 2 invariant violation, 3 configuration
-error, 4 I/O error.
+suites). Every subcommand but `selftest` takes its input, block and limits
+from one validated `ExperimentConfig`. Exit codes: 0 success, 2 invariant
+violation, 3 configuration error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,17 +15,21 @@ import sys
 
 import numpy as np
 
-from ..attention import KINDS, VARIANTS, PHI_CHOICES, build_block, make_residual_branch
+from ..attention import KINDS, VARIANTS, PHI_CHOICES, make_residual_branch
 from ..errors import InvariantViolation, PpmParseError
-from ..inversion import InversionConfig, estimate_lipschitz, normal_sampler, roundtrip
+from ..inversion import estimate_lipschitz, normal_sampler, roundtrip
 from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
 from .experiment import (
+    CONFIG_TYPES,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
     SYNTHETIC_SOURCES,
+    ExperimentConfig,
+    check_image,
     config_from_mapping,
+    make_block,
     parse_config_file,
     run_experiment,
     squeeze_levels,
@@ -45,18 +50,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_block_flags(sub: argparse.ArgumentParser, single_kind: bool) -> None:
+    # every dest is an ExperimentConfig key; a flag left unset keeps the config's value
     if single_kind:
-        sub.add_argument("--kind", choices=KINDS, default="embedded")
+        sub.add_argument("--kind", dest="kinds", choices=KINDS, default="embedded")
     else:
-        sub.add_argument("--kind", help="comma-separated kinds (default: all four)")
-    sub.add_argument("--variant", choices=VARIANTS, default=None)
-    sub.add_argument("--size", type=int, default=None, help="square image side")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--c", type=float, default=None, help="Lipschitz target in (0, 1)")
-    sub.add_argument("--iters", type=int, default=None, help="inverse iteration count N")
-    sub.add_argument("--precision", type=int, choices=(32, 64), default=None)
-    sub.add_argument("--squeeze", type=int, default=None, help="squeeze levels before the block")
-    sub.add_argument("--phi", choices=PHI_CHOICES, default=None)
+        sub.add_argument("--kind", dest="kinds", help="comma-separated kinds (default: all four)")
+    sub.add_argument("--variant", choices=VARIANTS)
+    sub.add_argument("--size", type=int, help="square image side")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--c", type=float, help="Lipschitz target in (0, 1)")
+    sub.add_argument("--iters", type=int, help="inverse iteration count N")
+    sub.add_argument("--precision", type=int, choices=(32, 64))
+    sub.add_argument("--squeeze", dest="squeeze_levels", type=int, help="squeeze levels before the block")
+    sub.add_argument("--phi", choices=PHI_CHOICES)
 
 
 def build_parser() -> _Parser:
@@ -66,29 +72,29 @@ def build_parser() -> _Parser:
     run_p = commands.add_parser("run", help="full reconstruction experiment")
     run_p.add_argument("--config", help="flat key = value config file; flags win")
     _add_block_flags(run_p, single_kind=False)
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--synthetic", choices=SYNTHETIC_SOURCES, default=None)
-    run_p.add_argument("--image-dir", default=None, help="directory of .ppm inputs")
-    run_p.add_argument("--batch", type=int, default=None)
-    run_p.add_argument("--tol", type=float, default=None)
-    run_p.add_argument("--workers", type=int, default=None)
+    run_p.add_argument("--out", dest="out_dir", help="output directory")
+    run_p.add_argument("--synthetic", choices=SYNTHETIC_SOURCES)
+    run_p.add_argument("--image-dir", help="directory of .ppm inputs")
+    run_p.add_argument("--batch", type=int)
+    run_p.add_argument("--tol", type=float)
+    run_p.add_argument("--workers", type=int)
     run_p.add_argument("--logdet", action="store_true", default=None,
                        help="also estimate log-determinants against the dense oracle")
-    run_p.add_argument("--vscore-floor", type=float, default=None)
-    run_p.add_argument("--stress-weight-scale", type=float, default=None)
-    run_p.add_argument("--stress-logit-scale", type=float, default=None)
+    run_p.add_argument("--vscore-floor", type=float)
+    run_p.add_argument("--stress-weight-scale", type=float)
+    run_p.add_argument("--stress-logit-scale", type=float)
 
     inv_p = commands.add_parser("invert", help="single-image forward + inverse roundtrip")
     _add_block_flags(inv_p, single_kind=True)
     inv_p.add_argument("--image", help="input .ppm (default: synthetic checkerboard)")
-    inv_p.add_argument("--synthetic", choices=SYNTHETIC_SOURCES, default="checkerboard")
-    inv_p.add_argument("--tol", type=float, default=1e-10)
-    inv_p.add_argument("--out", default=None, help="where to write the reconstruction .ppm")
+    inv_p.add_argument("--synthetic", choices=SYNTHETIC_SOURCES)
+    inv_p.add_argument("--tol", type=float)
+    inv_p.add_argument("--out", help="where to write the reconstruction .ppm")
 
     ld_p = commands.add_parser("logdet", help="series estimate + dense oracle on one block")
     _add_block_flags(ld_p, single_kind=True)
-    ld_p.add_argument("--terms", type=int, default=10, help="series terms K")
-    ld_p.add_argument("--samples", type=int, default=8, help="Hutchinson probes S")
+    ld_p.add_argument("--terms", dest="logdet_terms", type=int, default=10, help="series terms K")
+    ld_p.add_argument("--samples", dest="logdet_samples", type=int, default=8, help="Hutchinson probes S")
 
     lips_p = commands.add_parser("lipschitz", help="empirical Lipschitz constant of one block")
     _add_block_flags(lips_p, single_kind=True)
@@ -98,88 +104,47 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    mapping = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "kinds": args.kind,
-        "variant": args.variant,
-        "size": args.size,
-        "seed": args.seed,
-        "c": args.c,
-        "iters": args.iters,
-        "precision": args.precision,
-        "squeeze_levels": args.squeeze,
-        "phi": args.phi,
-        "out_dir": args.out,
-        "synthetic": args.synthetic,
-        "image_dir": args.image_dir,
-        "batch": args.batch,
-        "tol": args.tol,
-        "workers": args.workers,
-        "logdet": args.logdet,
-        "vscore_floor": args.vscore_floor,
-        "stress_weight_scale": args.stress_weight_scale,
-        "stress_logit_scale": args.stress_logit_scale,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+def _config(args) -> ExperimentConfig:
+    """The validated config: the config file first, then the flags that were set."""
+    mapping = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, value in vars(args).items():
+        if key in CONFIG_TYPES and value is not None:
             mapping[key] = str(value)
-    return run_experiment(config_from_mapping(mapping))
-
-
-def _block_from_args(args, channels: int):
-    return build_block(
-        args.kind,
-        args.variant or "invertible",
-        channels,
-        c=args.c if args.c is not None else 0.9,
-        phi=args.phi or "softplus",
-        seed=args.seed if args.seed is not None else 0,
-        dtype=np.float32 if args.precision == 32 else np.float64,
-    )
+    return config_from_mapping(mapping)
 
 
 def _single_input(args):
-    size = args.size if args.size is not None else 16
-    seed = args.seed if args.seed is not None else 0
-    levels = args.squeeze if args.squeeze is not None else 1
-    dtype = np.float32 if args.precision == 32 else np.float64
+    """The validated config, its block and the squeezed input grid of a
+    single-image subcommand."""
+    cfg = _config(args)
     if getattr(args, "image", None):
-        image = load_ppm(args.image, dtype=dtype)
+        image = load_ppm(args.image, dtype=cfg.dtype)
+        check_image(image, cfg)
     else:
-        source = getattr(args, "synthetic", None) or "checkerboard"
-        image = synthetic_batch(source, size, 1, seed, dtype=dtype)[0]
-    return image, squeeze_levels(image, levels), levels
+        image = synthetic_batch(cfg.synthetic, cfg.size, 1, cfg.seed, dtype=cfg.dtype)[0]
+    return cfg, make_block(cfg, cfg.kinds[0], cfg.seed), squeeze_levels(image, cfg.squeeze_levels)
 
 
 def _cmd_invert(args) -> int:
-    image, working, levels = _single_input(args)
-    block = _block_from_args(args, channels=working.shape[0])
-    cfg = InversionConfig(
-        max_iters=args.iters if args.iters is not None else 100,
-        early_stop_tol=args.tol,
-    )
-    xhat, report = roundtrip(working, block, cfg)
-    print(f"kind={args.kind} iterations={report.iterations_used} "
+    cfg, block, working = _single_input(args)
+    xhat, report = roundtrip(working, block, cfg.inversion)
+    print(f"kind={block.kind} iterations={report.iterations_used} "
           f"residual={report.final_residual:.3e} mse={report.reconstruction_mse:.6e} "
           f"converged={report.converged} diverged={report.diverged}")
     if xhat is not None and args.out:
-        save_ppm(np.clip(unsqueeze_levels(xhat, levels), 0.0, 1.0), args.out)
+        save_ppm(np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0), args.out)
         print(f"reconstruction written to {args.out}")
     return EXIT_OK if report.converged else EXIT_INVARIANT
 
 
 def _cmd_logdet(args) -> int:
-    _, working, _ = _single_input(args)
-    block = _block_from_args(args, channels=working.shape[0])
-    cfg = LogDetConfig(
-        series_terms=args.terms,
-        hutchinson_samples=args.samples,
-        seed=args.seed if args.seed is not None else 0,
+    cfg, block, working = _single_input(args)
+    ld_cfg = LogDetConfig(
+        series_terms=cfg.logdet_terms, hutchinson_samples=cfg.logdet_samples, seed=cfg.seed
     )
-    estimate = logdet_series(block, working, cfg)
+    estimate = logdet_series(block, working, ld_cfg)
     print(f"series estimate: {estimate.value:.6f} "
-          f"(K={args.terms}, S={args.samples}, probe variance {estimate.sample_variance:.3e})")
+          f"(K={cfg.logdet_terms}, S={cfg.logdet_samples}, probe variance {estimate.sample_variance:.3e})")
     if estimate.divergence_warning:
         print("warning: per-term magnitudes are not decaying")
     dim = working.size
@@ -193,13 +158,9 @@ def _cmd_logdet(args) -> int:
 
 
 def _cmd_lipschitz(args) -> int:
-    _, working, _ = _single_input(args)
-    block = _block_from_args(args, channels=working.shape[0])
+    cfg, block, working = _single_input(args)
     estimate = estimate_lipschitz(
-        make_residual_branch(block),
-        normal_sampler(working.shape),
-        pairs=args.pairs,
-        seed=args.seed if args.seed is not None else 0,
+        make_residual_branch(block), normal_sampler(working.shape), pairs=args.pairs, seed=cfg.seed
     )
     print(f"empirical Lipschitz lower bound: {estimate.sup_ratio:.6f} "
           f"over {estimate.sample_pairs} pairs (argmax {estimate.argmax_pair_seed})")
@@ -211,7 +172,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            return _cmd_run(args)
+            return run_experiment(_config(args))
         if args.command == "invert":
             return _cmd_invert(args)
         if args.command == "logdet":

@@ -9,8 +9,9 @@ index-derived seeds, and records merge by (kind, input index).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -45,7 +46,8 @@ EXIT_IO = 4
 
 @dataclass
 class ExperimentConfig:
-    """Everything a `run` needs; flat key=value config files map 1:1 here."""
+    """Defaults, value types and limits (:meth:`validate`) of every CLI
+    subcommand's run; config file keys and CLI flag dests map 1:1 here."""
 
     kinds: tuple[str, ...] = KINDS
     variant: str = "invertible"
@@ -112,32 +114,38 @@ class ExperimentConfig:
     def dtype(self) -> np.dtype:
         return np.float32 if self.precision == 32 else np.float64
 
+    @property
+    def inversion(self) -> InversionConfig:
+        return InversionConfig(max_iters=self.iters, early_stop_tol=self.tol)
+
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _parse_bool(raw: str) -> bool:
+    return _BOOL_WORDS[raw.strip().lower()]
+
+
+def _parse_names(raw: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+# how a config value is read from its string, by field annotation; any other
+# annotation (`str`, `str | None`) is read as the string itself
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[str, ...]: _parse_names}
+CONFIG_TYPES = get_type_hints(ExperimentConfig)
+
+
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a config from string key=value pairs (file or CLI overrides)."""
-    spec = {f.name: f.type for f in fields(ExperimentConfig)}
+    """Build a validated config from string key=value pairs (file or CLI flags)."""
     kwargs: dict = {}
     for key, raw in mapping.items():
-        if key not in spec:
+        if key not in CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if key == "kinds":
-            kwargs[key] = tuple(k.strip() for k in str(raw).split(",") if k.strip())
-        elif key in ("logdet", "global_sum"):
-            word = str(raw).strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"bad boolean for {key!r}: {raw!r}")
-            kwargs[key] = _BOOL_WORDS[word]
-        elif key in ("size", "batch", "iters", "seed", "precision", "squeeze_levels",
-                     "logdet_terms", "logdet_samples", "workers"):
-            kwargs[key] = int(raw)
-        elif key in ("c", "tol", "vscore_floor", "stress_weight_scale",
-                     "stress_logit_scale", "column_sum_target"):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = str(raw)
+        try:
+            kwargs[key] = _PARSERS.get(CONFIG_TYPES[key], str)(str(raw))
+        except (KeyError, ValueError) as err:
+            raise ValueError(f"bad value for config key {key!r}: {raw!r}") from err
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -233,28 +241,54 @@ def unsqueeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
     return x
 
 
-def _inversion_config(cfg: ExperimentConfig) -> InversionConfig:
-    return InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol)
+def make_block(cfg: ExperimentConfig, kind: str, seed: int) -> AttentionBlock:
+    """The configured block of ``kind`` for ``3 * 4**squeeze_levels`` channels."""
+    block = build_block(
+        kind,
+        cfg.variant,
+        3 * 4**cfg.squeeze_levels,
+        c=cfg.c,
+        phi=cfg.phi,
+        seed=seed,
+        dtype=cfg.dtype,
+        logit_scale=cfg.stress_logit_scale,
+        column_sum_target=cfg.column_sum_target,
+        global_sum=cfg.global_sum,
+    )
+    if cfg.stress_weight_scale != 1.0:
+        _scale_weights_inplace(block, cfg.stress_weight_scale)
+    return block
+
+
+def check_image(image: np.ndarray, cfg: ExperimentConfig) -> None:
+    """Refuse an input the configured run cannot take: it must be square, at
+    most the size guard, and squeezable ``cfg.squeeze_levels`` times."""
+    side = image.shape[-1]
+    if image.shape[-2] != side or side > _MAX_IMAGE_SIZE:
+        raise ValueError(f"image shape {image.shape} outside the supported square sizes")
+    if side % (2**cfg.squeeze_levels) != 0:
+        raise ValueError(
+            f"image side {side} is not divisible by 2^{cfg.squeeze_levels} for squeezing"
+        )
 
 
 def _run_one_image(
     index: int,
     image: np.ndarray,
+    working: np.ndarray,
     block: AttentionBlock,
     cfg: ExperimentConfig,
     out_dir: Path,
-    solved: tuple[np.ndarray | None, InversionReport] | None = None,
+    solved: tuple[np.ndarray | None, InversionReport] | None,
 ) -> dict:
-    """The record of one image; ``solved`` is its (reconstruction, report)
-    from a stacked roundtrip, or None to run the roundtrip here."""
+    """The record of one image, given its squeezed ``working`` grid; ``solved``
+    is its (reconstruction, report) from a stacked roundtrip, or None to run
+    the roundtrip here."""
     record: dict = {"index": index, "kind": block.kind}
     if cfg.variant != "invertible":
         record["note"] = "no invertibility contract"
     try:
-        working = squeeze_levels(image, cfg.squeeze_levels)
-        if solved is None:
-            solved = roundtrip(working, block, _inversion_config(cfg))
-        xhat, report = solved
+        xhat, report = roundtrip(working, block, cfg.inversion) if solved is None else solved
         ssim = None
         if xhat is not None:
             recon = np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0)
@@ -285,15 +319,15 @@ def _run_stack(
     If the stacked roundtrip raises, each image is run alone, so every
     record carries the error its own roundtrip raises.
     """
-    solved: list = [None] * len(indices)
+    working = np.stack([squeeze_levels(images[i], cfg.squeeze_levels) for i in indices])
     try:
-        working = np.stack([squeeze_levels(images[i], cfg.squeeze_levels) for i in indices])
-        xhat, report = roundtrip(working, block, _inversion_config(cfg))
+        xhat, report = roundtrip(working, block, cfg.inversion)
         solved = [(None if r.diverged else x, r) for x, r in zip(xhat, report.images)]
     except _RECORDED_ERRORS:
-        pass
+        solved = [None] * len(indices)
     return [
-        _run_one_image(i, images[i], block, cfg, out_dir, s) for i, s in zip(indices, solved)
+        _run_one_image(i, images[i], w, block, cfg, out_dir, s)
+        for i, w, s in zip(indices, working, solved)
     ]
 
 
@@ -358,36 +392,19 @@ def format_summary(summaries: list[KindSummary]) -> str:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured run; returns the process exit code."""
     cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dtype = cfg.dtype
     if cfg.image_dir is not None:
         images = load_image_dir(cfg.image_dir, dtype=dtype)
     else:
         images = synthetic_batch(cfg.synthetic, cfg.size, cfg.batch, cfg.seed, dtype=dtype)
-    for img in images:
-        if img.shape[1] != img.shape[2] or img.shape[1] > _MAX_IMAGE_SIZE:
-            raise ValueError(f"image shape {img.shape} outside the supported square sizes")
+    for image in images:
+        check_image(image, cfg)
 
-    channels = 3 * 4**cfg.squeeze_levels
-    blocks = []
-    for kind_index, kind in enumerate(cfg.kinds):
-        block = build_block(
-            kind,
-            cfg.variant,
-            channels,
-            c=cfg.c,
-            phi=cfg.phi,
-            seed=cfg.seed * 1009 + kind_index,
-            dtype=dtype,
-            logit_scale=cfg.stress_logit_scale,
-            column_sum_target=cfg.column_sum_target,
-            global_sum=cfg.global_sum,
-        )
-        if cfg.stress_weight_scale != 1.0:
-            _scale_weights_inplace(block, cfg.stress_weight_scale)
-        save_block(block, out_dir / f"block_{kind}.json")
-        blocks.append(block)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    blocks = [make_block(cfg, kind, cfg.seed * 1009 + k) for k, kind in enumerate(cfg.kinds)]
+    for block in blocks:
+        save_block(block, out_dir / f"block_{block.kind}.json")
 
     # One work item per (kind, image stack); records merge by (kind, index).
     stacks = _image_stacks(images, cfg.squeeze_levels)

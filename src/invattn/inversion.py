@@ -26,6 +26,8 @@ from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branc
 from .errors import DivergenceError, NonFiniteError
 
 _PERTURBATION_SCALES = (1e-3, 1e-1, 1.0)
+_LOCAL_ITERS = 12  # power-iteration rounds per local probe
+_LOCAL_EPS = 1e-4  # central-difference step of a local probe
 
 
 @dataclass
@@ -205,8 +207,6 @@ def estimate_lipschitz(
     seed: int = 0,
     extra_pairs: Iterable[tuple[np.ndarray, np.ndarray]] = (),
     local_probes: int = 0,
-    local_iters: int = 12,
-    local_eps: float = 1e-4,
 ) -> LipschitzEstimate:
     """Max L2 ratio ||g(x1)-g(x2)|| / ||x1-x2|| over sampled pairs.
 
@@ -215,10 +215,10 @@ def estimate_lipschitz(
     sampling alone badly underestimates sup ratios in high dimension.
     ``extra_pairs`` lets callers inject known worst-case directions (e.g.
     the top singular vector from power iteration), and ``local_probes``
-    base points each run ``local_iters`` rounds of power iteration on the
-    local Jacobian (via central differences) so the dominant directions
-    are probed as pairs too. Coincident pairs are skipped, never divided
-    by.
+    base points each run ``_LOCAL_ITERS`` rounds of power iteration on the
+    local Jacobian (central differences of step ``_LOCAL_EPS``) so the
+    dominant directions are probed as pairs too. Coincident pairs are
+    skipped, never divided by.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
@@ -253,9 +253,9 @@ def estimate_lipschitz(
         x1 = domain_sampler(rng)
         direction = rng.standard_normal(x1.shape)
         direction /= np.linalg.norm(direction.ravel())
-        for it in range(local_iters):
-            consider(x1, x1 + local_eps * direction, f"{seed}:local:{probe}:{it}")
-            jv = (g(x1 + local_eps * direction) - g(x1 - local_eps * direction)) / (2.0 * local_eps)
+        for it in range(_LOCAL_ITERS):
+            consider(x1, x1 + _LOCAL_EPS * direction, f"{seed}:local:{probe}:{it}")
+            jv = (g(x1 + _LOCAL_EPS * direction) - g(x1 - _LOCAL_EPS * direction)) / (2.0 * _LOCAL_EPS)
             nrm = float(np.linalg.norm(jv.ravel()))
             if nrm == 0.0:
                 break

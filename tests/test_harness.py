@@ -10,6 +10,8 @@ from invattn.attention import KINDS, load_block, squeeze
 from invattn.errors import PpmParseError
 from invattn.harness.cli import main
 from invattn.harness.experiment import (
+    _PARSERS,
+    CONFIG_TYPES,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_IO,
@@ -255,6 +257,19 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             config_from_mapping({"logdet": "maybe"})
 
+    def test_unparsable_value_names_its_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("size = abc\n")
+        with pytest.raises(ValueError, match="'size'"):
+            config_from_mapping(parse_config_file(path))
+
+    def test_every_field_type_has_a_parser(self):
+        unhandled = {
+            key: hint for key, hint in CONFIG_TYPES.items()
+            if hint not in _PARSERS and hint not in (str, str | None)
+        }
+        assert unhandled == {}
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
@@ -423,6 +438,39 @@ class TestRunExperiment:
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_roundtrip_failure_runs_each_image_alone(self, tmp_path):
+        # At this logit scale a grey image inverts alone, but stacked with a
+        # white one the whole forward pass overflows.
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        for i, level in enumerate((51, 255, 51)):
+            save_ppm(np.full((3, 8, 8), level / 255.0), img_dir / f"img_{i}.ppm")
+        cfg = small_config(tmp_path, kinds=("gaussian",), image_dir=str(img_dir), stress_logit_scale=1e308)
+        assert run_experiment(cfg) == EXIT_OK
+        out = Path(cfg.out_dir)
+        grey, white, grey_again = read_records(out / "records.jsonl")
+        assert white["error"].startswith("NonFiniteError")
+        block = load_block(out / "block_gaussian.json")
+        for record in (grey, grey_again):
+            image = load_ppm(img_dir / f"img_{record['index']}.ppm")
+            _, report = roundtrip(squeeze(image), block, cfg.inversion)
+            assert report.converged
+            solo = report_to_record(report, index=record["index"], kind=record["kind"])
+            assert {key: record[key] for key in solo} == solo
+
+    def test_image_dir_not_squeezable_is_config_error(self, tmp_path):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        rng = np.random.default_rng(14)
+        for i in range(2):
+            save_ppm(lattice_grid(rng, (3, 6, 6)), img_dir / f"img_{i}.ppm")
+        out = tmp_path / "out"
+        code = main(["run", "--image-dir", str(img_dir), "--squeeze", "2", "--kind", "gaussian",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "records.jsonl").exists()
+
     def test_empty_image_dir_rejected(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -480,6 +528,15 @@ class TestCli:
 
     def test_unknown_kind_is_config_error(self, tmp_path):
         assert main(["run", "--kind", "nope", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["invert", "logdet", "lipschitz"])
+    def test_single_image_subcommands_refuse_oversized_input(self, command):
+        assert main([command, "--size", "66"]) == EXIT_CONFIG
+
+    def test_invert_refuses_oversized_image(self, tmp_path):
+        path = tmp_path / "big.ppm"
+        save_ppm(np.full((3, 66, 66), 0.5), path)
+        assert main(["invert", "--image", str(path)]) == EXIT_CONFIG
 
     def test_missing_image_is_io_error(self):
         assert main(["invert", "--image", "/definitely/not/here.ppm"]) == EXIT_IO
