@@ -49,7 +49,6 @@ from .logdet import (
     LogDetEstimate,
     brute_force_logdet,
     brute_force_logdet_from_branch,
-    hutchinson_trace_power,
     jvp,
     logdet_series,
     logdet_series_from_branch,

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-Subcommands: `run` (full experiment), `invert` (single-image roundtrip),
-`logdet` (series estimate + dense oracle for one block), `lipschitz`
-(empirical constant of one block's residual branch), `selftest` (oracle
-suites). Every subcommand but `selftest` takes its input, block and limits
-from one validated `ExperimentConfig`. Exit codes: 0 success, 2 invariant
-violation, 3 configuration error, 4 I/O error.
+Subcommands: `run` (full experiment), `invert` (single-image roundtrip;
+it succeeds only when the input comes back), `logdet` (series estimate +
+dense oracle for one block), `lipschitz` (empirical constant of one block's
+residual branch), `selftest` (oracle suites). Every subcommand but
+`selftest` takes its input, block and limits from one validated
+`ExperimentConfig`. Exit codes: 0 success, 2 invariant violation, 3
+configuration error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .experiment import (
     EXIT_IO,
     EXIT_OK,
     SYNTHETIC_SOURCES,
+    _VSCORE_MSE_LIMIT,
     ExperimentConfig,
     check_image,
     config_from_mapping,
@@ -134,7 +136,12 @@ def _cmd_invert(args) -> int:
     if xhat is not None and args.out:
         save_ppm(np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0), args.out)
         print(f"reconstruction written to {args.out}")
-    return EXIT_OK if report.converged else EXIT_INVARIANT
+    if not (report.converged and report.reconstruction_mse < _VSCORE_MSE_LIMIT):
+        # a converged solve lands on another preimage when g is no contraction
+        raise InvariantViolation(
+            f"input not reconstructed: needs convergence and mse < {_VSCORE_MSE_LIMIT}"
+        )
+    return EXIT_OK
 
 
 def _cmd_logdet(args) -> int:

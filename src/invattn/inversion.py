@@ -24,6 +24,7 @@ import numpy as np
 
 from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branch, residual_forward
 from .errors import DivergenceError, NonFiniteError
+from .logdet import jvp
 
 _PERTURBATION_SCALES = (1e-3, 1e-1, 1.0)
 _LOCAL_ITERS = 12  # power-iteration rounds per local probe
@@ -216,8 +217,8 @@ def estimate_lipschitz(
     ``extra_pairs`` lets callers inject known worst-case directions (e.g.
     the top singular vector from power iteration), and ``local_probes``
     base points each run ``_LOCAL_ITERS`` rounds of power iteration on the
-    local Jacobian (central differences of step ``_LOCAL_EPS``) so the
-    dominant directions are probed as pairs too. Coincident pairs are
+    local Jacobian (:func:`~invattn.logdet.jvp` of step ``_LOCAL_EPS``) so
+    the dominant directions are probed as pairs too. Coincident pairs are
     skipped, never divided by.
     """
     if pairs < 1:
@@ -255,7 +256,7 @@ def estimate_lipschitz(
         direction /= np.linalg.norm(direction.ravel())
         for it in range(_LOCAL_ITERS):
             consider(x1, x1 + _LOCAL_EPS * direction, f"{seed}:local:{probe}:{it}")
-            jv = (g(x1 + _LOCAL_EPS * direction) - g(x1 - _LOCAL_EPS * direction)) / (2.0 * _LOCAL_EPS)
+            jv = jvp(g, x1, direction, _LOCAL_EPS)
             nrm = float(np.linalg.norm(jv.ravel()))
             if nrm == 0.0:
                 break

@@ -3,12 +3,12 @@
 For f(x) = x + g(x) with a contractive branch, ln|det J_f| equals the
 alternating power series sum_k (-1)^(k+1) tr(J_g^k)/k. Traces are estimated
 stochastically with Hutchinson probes, and Jacobian-vector products come
-from central finite differences, so no autodiff machinery is involved. All
-probes advance in lockstep: each series step is one JVP on the stack of
-probe directions, so the branch sees a (probes, C, H, W) stack instead of
-one grid per probe. A dense finite-difference Jacobian plus LU, built from
-stacks of unit-step columns, provides the exact oracle up to
-:data:`DENSE_ORACLE_MAX_DIM`.
+from :func:`jvp`, the one central finite difference, so no autodiff is
+involved. All probes advance in lockstep: each series step is one JVP on
+the stack of probe directions, which ``jvp`` hands the branch in stacks of
+at most :func:`_grids_per_call` grids. The exact oracle, up to
+:data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, the columns of J_g being
+one JVP along the unit vectors.
 
 Every branch callable passed here must map a (B, C, H, W) stack of grids
 to the stack of its per-grid outputs, as well as one (C, H, W) grid.
@@ -79,9 +79,11 @@ def jvp(
 ) -> np.ndarray:
     """Central-difference directional derivative J_g(x) v.
 
-    ``v`` is one direction of ``x.shape`` or a stack of them of shape
-    ``(P,) + x.shape``; ``g`` must then map the stack of P perturbed grids.
-    Exact for linear maps; O(eps^2) truncation error otherwise.
+    ``v`` is one direction of ``x.shape`` (one call of ``g`` on a grid per
+    side) or a stack of them of shape ``(P,) + x.shape``, which goes to ``g``
+    in stacks of at most :func:`_grids_per_call` perturbed grids. Exact for
+    linear maps; O(eps^2) truncation error otherwise. Non-finite output of
+    ``g`` raises :class:`FloatingPointError`.
     """
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
@@ -91,11 +93,16 @@ def jvp(
         raise ValueError(f"direction shape {v.shape} does not match input shape {x.shape}")
     if not np.isfinite(v).all():
         raise ValueError("direction contains non-finite entries")
-    plus = g(x + eps * v)
-    minus = g(x - eps * v)
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise FloatingPointError(f"non-finite values from g during JVP (eps={eps})")
-    return (plus - minus) / (2.0 * eps)
+    chunk = v.shape[0] if v.shape == x.shape else _grids_per_call(x.shape)
+    diffs = []
+    for start in range(0, v.shape[0], chunk):
+        step = eps * v[start : start + chunk]
+        plus = g(x + step)
+        minus = g(x - step)
+        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+            raise FloatingPointError(f"non-finite values from g during JVP (eps={eps})")
+        diffs.append((plus - minus) / (2.0 * eps))
+    return diffs[0] if len(diffs) == 1 else np.concatenate(diffs)
 
 
 def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np.ndarray:
@@ -114,20 +121,13 @@ def _probe_trace_samples(
     """Trace samples v0' (J_g^j v0) for j = 1..k of a (P,) + x.shape probe
     stack, as a (P, k) array.
 
-    All probes take each step together, in stacks of at most
-    :func:`_grids_per_call` grids. Each probe is renormalized between
-    applications so nested finite differences stay at unit scale; its
-    magnitude is carried in log space. A probe whose step has zero norm
-    keeps zero samples from that step on: every later power is exactly
-    zero. The other probes go on.
+    All probes take each step together, one :func:`jvp` on their stack; all
+    arithmetic is per probe. Each probe is renormalized between applications
+    so nested finite differences stay at unit scale; its magnitude is
+    carried in log space. A probe whose step has zero norm keeps zero
+    samples from that step on: every later power is exactly zero. The other
+    probes go on.
     """
-    chunk = _grids_per_call(x.shape)
-    if v0.shape[0] > chunk:
-        parts = [
-            _probe_trace_samples(g, x, v0[start : start + chunk], k, eps)
-            for start in range(0, v0.shape[0], chunk)
-        ]
-        return np.concatenate(parts)
     n_probes = v0.shape[0]
     flat0 = v0.reshape(n_probes, -1)
     samples = np.zeros((n_probes, k))
@@ -147,30 +147,6 @@ def _probe_trace_samples(
         log_mag += np.log(scale)
         samples[live, j] = np.exp(log_mag[live]) * np.einsum("pi,pi->p", flat0[live], w[live])
     return samples
-
-
-def hutchinson_trace_power(
-    g: Callable[[FeatureGrid], FeatureGrid],
-    x: FeatureGrid,
-    k: int,
-    cfg: LogDetConfig | None = None,
-) -> float:
-    """Stochastic estimate of tr(J_g(x)^k) over seeded probes.
-
-    ``g`` must map a (P, C, H, W) stack of grids; all probes go through it
-    together.
-    """
-    if k < 1:
-        raise ValueError("power k must be >= 1")
-    if cfg is None:
-        cfg = LogDetConfig()
-    x = as_grid(x)
-    rng = np.random.default_rng(cfg.seed)
-    probes = np.stack(
-        [_draw_probe(rng, x.shape, cfg.probe_distribution) for _ in range(cfg.hutchinson_samples)]
-    )
-    samples = _probe_trace_samples(g, x, probes, k, cfg.jvp_epsilon)
-    return float(samples[:, -1].sum()) / cfg.hutchinson_samples
 
 
 def logdet_series_from_branch(
@@ -225,13 +201,12 @@ def brute_force_logdet_from_branch(
     x: FeatureGrid,
     eps: float = 1e-5,
 ) -> float:
-    """Exact ln|det J_f(x)| for f = id + branch, from the dense
-    finite-difference Jacobian plus LU.
+    """Exact ln|det J_f(x)| for f = id + branch: LU of I + J_g, the columns
+    of J_g being one :func:`jvp` of ``branch`` along the unit vectors.
 
-    ``branch`` must map a (B, C, H, W) stack of grids: the Jacobian columns
-    come from stacks of ``x +- eps e_j``, at most :func:`_grids_per_call`
-    grids per branch call. Asserts the determinant sign is +1, the
-    falsifiable consequence of the contraction bound; a violated bound
+    ``branch`` must map a (B, C, H, W) stack of grids; non-finite output
+    raises :class:`FloatingPointError`. Asserts the determinant sign is +1,
+    the falsifiable consequence of the contraction bound; a violated bound
     raises :class:`InvariantViolation`. Dimension capped at
     :data:`DENSE_ORACLE_MAX_DIM` (this is an oracle, not a production path).
     """
@@ -239,21 +214,8 @@ def brute_force_logdet_from_branch(
     dim = x.size
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")
-    chunk = _grids_per_call(x.shape)
-    jac = np.empty((dim, dim))
-    for start in range(0, dim, chunk):
-        cols = np.arange(start, min(start + chunk, dim))
-        steps = np.zeros((cols.size, dim))
-        steps[np.arange(cols.size), cols] = eps
-        steps = steps.reshape((cols.size,) + x.shape)
-        ahead = x + steps
-        behind = x - steps
-        plus = ahead + branch(ahead)
-        minus = behind + branch(behind)
-        jac[:, cols] = ((plus - minus) / (2.0 * eps)).reshape(cols.size, dim).T
-    if not np.isfinite(jac).all():
-        raise FloatingPointError("non-finite entries in the finite-difference Jacobian")
-    logabs, sign = lu_logabsdet(jac)
+    columns = jvp(branch, x, np.eye(dim).reshape((dim,) + x.shape), eps)
+    logabs, sign = lu_logabsdet(np.eye(dim) + columns.reshape(dim, dim).T)
     if sign != 1:
         raise InvariantViolation(
             f"Jacobian determinant sign {sign:+d}, expected +1 under the contraction bound"

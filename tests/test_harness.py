@@ -518,6 +518,13 @@ class TestCli:
         assert code == EXIT_OK
         assert out.exists()
 
+    def test_invert_refuses_a_wrong_preimage(self, capsys):
+        # phi = relu breaks the dot block's contraction: the solve converges,
+        # but to another preimage
+        assert main(["invert", "--kind", "dot", "--phi", "relu", "--size", "8", "--seed", "0",
+                     "--synthetic", "gaussian-noise"]) == EXIT_INVARIANT
+        assert "input not reconstructed" in capsys.readouterr().err
+
     def test_logdet_subcommand(self):
         assert main(["logdet", "--kind", "embedded", "--size", "4", "--squeeze", "0",
                      "--seed", "2", "--terms", "8", "--samples", "8"]) == EXIT_OK

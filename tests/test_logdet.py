@@ -11,7 +11,6 @@ from invattn.logdet import (
     _probe_trace_samples,
     brute_force_logdet,
     brute_force_logdet_from_branch,
-    hutchinson_trace_power,
     jvp,
     logdet_series,
     logdet_series_from_branch,
@@ -33,6 +32,14 @@ def dense_jacobian(branch, x, eps=1e-5):
         direction[j] = 1.0
         jac[:, j] = jvp(branch, x, direction.reshape(x.shape), eps).ravel()
     return jac
+
+
+def series_trace_power(branch, x, k, samples, seed):
+    """The tr(J_g^k) estimate read off the series: term k is
+    (-1)^(k+1) tr(J_g^k) / k."""
+    cfg = LogDetConfig(series_terms=k, hutchinson_samples=samples, seed=seed)
+    term = logdet_series_from_branch(branch, x, cfg).per_term_contributions[k - 1]
+    return (-1) ** (k + 1) * k * term
 
 
 def per_probe_series(branch, x, cfg):
@@ -124,12 +131,31 @@ class TestJvp:
         with pytest.raises(FloatingPointError):
             jvp(bad, np.zeros((1, 2, 2)), np.ones((1, 2, 2)))
 
+    def test_direction_stack_split_under_the_stack_cap(self, monkeypatch):
+        branch = make_residual_branch(build_block("concat", "invertible", 3, seed=19))
+        rng = np.random.default_rng(20)
+        x = rng.uniform(0, 1, (3, 2, 2))
+        vs = rng.standard_normal((10, 3, 2, 2))
+        whole = jvp(branch, x, vs)
+        grids = []
+
+        def counting(y):
+            grids.append(y.shape[0])
+            return branch(y)
+
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 3 * 4**2)  # 3 grids per branch call
+        chunked = jvp(counting, x, vs)
+        assert grids == [3, 3, 3, 3, 3, 3, 1, 1]  # plus and minus per chunk
+        assert np.array_equal(chunked, whole)
+
 
 class TestHutchinsonTracePower:
+    """tr(J_g^k) estimates, read off the k-th term of the series."""
+
     def test_isotropic_jacobian_is_exact(self):
         # J = 0.5 I in d = 10: rademacher probes satisfy v'(J^2 v) = 2.5 exactly
         x = np.zeros((10, 1, 1))
-        value = hutchinson_trace_power(lambda y: 0.5 * y, x, 2, LogDetConfig(hutchinson_samples=4, seed=1))
+        value = series_trace_power(lambda y: 0.5 * y, x, 2, samples=4, seed=1)
         assert abs(value - 2.5) <= 1e-12
 
     def test_unbiased_for_known_linear_trace(self):
@@ -139,9 +165,7 @@ class TestHutchinsonTracePower:
         m = rng.standard_normal((d, d)) * 0.1
         x = np.zeros((d, 1, 1))
         samples = 512
-        value = hutchinson_trace_power(
-            linear_branch(m), x, 1, LogDetConfig(hutchinson_samples=samples, seed=3)
-        )
+        value = series_trace_power(linear_branch(m), x, 1, samples=samples, seed=3)
         sym = (m + m.T) / 2.0
         probe_var = 2.0 * (np.sum(sym**2) - np.sum(np.diag(sym) ** 2))
         standard_error = math.sqrt(probe_var / samples)
@@ -152,7 +176,7 @@ class TestHutchinsonTracePower:
         x = np.random.default_rng(1028).uniform(0, 1, (3, 4, 4))  # d = 48
         branch = make_residual_branch(block)
         true_cube = float(np.trace(np.linalg.matrix_power(dense_jacobian(branch, x), 3)))
-        est = hutchinson_trace_power(branch, x, 3, LogDetConfig(hutchinson_samples=2048, seed=6))
+        est = series_trace_power(branch, x, 3, samples=2048, seed=6)
         assert abs(est - true_cube) / abs(true_cube) <= 0.05
 
     def test_dead_probes_give_zeros_while_live_probes_go_on(self):
@@ -166,10 +190,6 @@ class TestHutchinsonTracePower:
         samples = _probe_trace_samples(linear_branch(m), np.zeros((4, 1, 1)), probes, 5, 1e-5)
         assert np.array_equal(samples[[1, 3]], np.zeros((2, 5)))
         assert np.abs(samples[[0, 2]] - 2.0 * 0.5 ** np.arange(1, 6)).max() <= 1e-12
-
-    def test_power_validated(self):
-        with pytest.raises(ValueError):
-            hutchinson_trace_power(lambda y: y, np.zeros((2, 1, 1)), 0)
 
 
 class TestLogDetSeries:
@@ -281,6 +301,13 @@ class TestBruteForce:
         for seed, kind in enumerate(("gaussian", "embedded", "concat")):
             block = build_block(kind, "invertible", 3, seed=seed)
             brute_force_logdet(block, rng.uniform(0, 1, (3, 3, 3)))  # must not raise
+
+    def test_nonfinite_branch_output_raises(self):
+        def bad(x):
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(FloatingPointError):
+            brute_force_logdet_from_branch(bad, np.zeros((3, 1, 1)))
 
     def test_dimension_budget(self):
         block = build_block("gaussian", "invertible", 3, seed=11)
