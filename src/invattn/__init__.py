@@ -50,6 +50,7 @@ from .logdet import (
     brute_force_logdet,
     brute_force_logdet_from_branch,
     jvp,
+    linearize,
     logdet_series,
     logdet_series_from_branch,
 )

@@ -109,6 +109,17 @@ def apply_phi(x: np.ndarray, selector: str) -> np.ndarray:
     raise ValueError(f"unknown phi selector {selector!r}; choose from {PHI_CHOICES}")
 
 
+def phi_slope(x: np.ndarray, selector: str) -> np.ndarray:
+    """Derivative of :func:`apply_phi` at ``x``; relu takes slope 0 at 0."""
+    if selector == "softplus":
+        return 0.5 * (1.0 + np.tanh(0.5 * x))  # the logistic sigmoid, stable at both ends
+    if selector == "relu":
+        return (x > 0.0).astype(x.dtype)
+    if selector == "elu":
+        return np.exp(np.minimum(x, 0.0))
+    raise ValueError(f"unknown phi selector {selector!r}; choose from {PHI_CHOICES}")
+
+
 # ---------------------------------------------------------------------------
 # Spectrally bounded 1x1 convolutions
 # ---------------------------------------------------------------------------
@@ -313,20 +324,10 @@ def build_block(
 # ---------------------------------------------------------------------------
 
 
-def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
-    """Unnormalized m x m pairwise responses, entry (i, j) = r(x_i, x_j);
-    (B, m, m) for a stack of grids.
-
-    The exponential kinds subtract the maximum logit along the axis that is
-    later normalized (rows for the non-invertible variant, columns for the
-    invertible one); the normalized map is unchanged by the shift and the
-    exponentials cannot overflow. Invertible dot/concat scores pass through
-    the nonnegative activation phi.
-    """
-    x = as_grid(x)
-    if x.shape[-3] != block.channels:
-        raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
-    pos = grid_to_matrix(x)
+def pairwise_logits(pos: np.ndarray, block: AttentionBlock) -> np.ndarray:
+    """Scaled m x m logits of a positions-by-channels matrix (or stack):
+    ``pos posᵀ`` for gaussian, ``E1 E2ᵀ`` for embedded and dot, and
+    ``E1 a1 + (E2 a2)ᵀ`` for concat, ``a1, a2`` the halves of the pair scorer."""
     if block.kind == "gaussian":
         logits = pos @ pos.swapaxes(-1, -2)
     else:
@@ -342,6 +343,23 @@ def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
             logits = e1 @ e2.swapaxes(-1, -2)
     if block.logit_scale != 1.0:
         logits = logits * logits.dtype.type(block.logit_scale)
+    return logits
+
+
+def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
+    """Unnormalized m x m pairwise responses, entry (i, j) = r(x_i, x_j);
+    (B, m, m) for a stack of grids.
+
+    The exponential kinds subtract the maximum logit along the axis that is
+    later normalized (rows for the non-invertible variant, columns for the
+    invertible one); the normalized map is unchanged by the shift and the
+    exponentials cannot overflow. Invertible dot/concat scores pass through
+    the nonnegative activation phi.
+    """
+    x = as_grid(x)
+    if x.shape[-3] != block.channels:
+        raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
+    logits = pairwise_logits(grid_to_matrix(x), block)
     if block.kind in _EXP_KINDS:
         axis = -2 if block.variant == "invertible" else -1
         return np.exp(logits - logits.max(axis=axis, keepdims=True))

@@ -1,10 +1,10 @@
 """Compact oracle suites behind `invattn selftest`.
 
 Each suite re-derives a core contract from an independent direction (naive
-summations, the exact-SVD oracle, closed forms, bit-exact round trips) and
-prints one PASS/FAIL line. The pytest suite covers the same ground far more
-thoroughly; this battery exists so a deployed install can be sanity-checked
-without a test checkout.
+summations, the exact-SVD oracle, closed forms, finite differences, bit-exact
+round trips) and prints one PASS/FAIL line. The pytest suite covers the same
+ground far more thoroughly; this battery exists so a deployed install can be
+sanity-checked without a test checkout.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import linalg
-from ..attention import build_block, response_map
+from ..attention import KINDS, build_block, make_residual_branch, response_map
 from ..inversion import InversionConfig, roundtrip_check
-from ..logdet import LogDetConfig, logdet_series_from_branch
+from ..logdet import LogDetConfig, jvp, linearize, logdet_series_from_branch
 from .ppm import load_ppm, save_ppm
 
 EXIT_INVARIANT = 2
@@ -108,6 +108,20 @@ def _logdet_closed_form() -> str | None:
     return None
 
 
+def _exact_derivative() -> str | None:
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 1.0, size=(3, 4, 4))
+    directions = rng.standard_normal((4, 3, 4, 4))
+    for kind in KINDS:
+        block = build_block(kind, "invertible", 3, seed=41)
+        exact = linearize(block, x)(directions)
+        reference = jvp(make_residual_branch(block), x, directions)
+        gap = float(np.abs(exact - reference).max() / np.abs(reference).max())
+        if gap > 1e-8:
+            return f"{kind}: linearization off the finite difference by {gap:.2e}"
+    return None
+
+
 def _ppm_roundtrip() -> str | None:
     rng = np.random.default_rng(16)
     grid = rng.integers(0, 256, size=(3, 5, 7)).astype(np.float64) / 255.0
@@ -127,6 +141,7 @@ _SUITES = (
     ("response map contracts", _response_contracts),
     ("roundtrip inversion", _roundtrip_inversion),
     ("log-det closed form", _logdet_closed_form),
+    ("exact derivative vs finite difference", _exact_derivative),
     ("ppm round trip", _ppm_roundtrip),
 )
 

@@ -228,12 +228,14 @@ def estimate_lipschitz(
     best_token = "none"
     evaluated = 0
 
-    def consider(x1: np.ndarray, x2: np.ndarray, token: str) -> None:
+    def consider(x1: np.ndarray, x2: np.ndarray, token: str, g1: np.ndarray | None = None) -> None:
         nonlocal best, best_token, evaluated
         denom = float(np.linalg.norm((x1 - x2).ravel()))
         if denom == 0.0:
             return
-        ratio = float(np.linalg.norm((g(x1) - g(x2)).ravel())) / denom
+        if g1 is None:
+            g1 = g(x1)
+        ratio = float(np.linalg.norm((g1 - g(x2)).ravel())) / denom
         evaluated += 1
         if ratio > best:
             best = ratio
@@ -254,8 +256,9 @@ def estimate_lipschitz(
         x1 = domain_sampler(rng)
         direction = rng.standard_normal(x1.shape)
         direction /= np.linalg.norm(direction.ravel())
+        g1 = g(x1)  # one evaluation at the base point serves every round
         for it in range(_LOCAL_ITERS):
-            consider(x1, x1 + _LOCAL_EPS * direction, f"{seed}:local:{probe}:{it}")
+            consider(x1, x1 + _LOCAL_EPS * direction, f"{seed}:local:{probe}:{it}", g1)
             jv = jvp(g, x1, direction, _LOCAL_EPS)
             nrm = float(np.linalg.norm(jv.ravel()))
             if nrm == 0.0:

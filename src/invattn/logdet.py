@@ -2,11 +2,14 @@
 
 For f(x) = x + g(x) with a contractive branch, ln|det J_f| equals the
 alternating power series sum_k (-1)^(k+1) tr(J_g^k)/k. Traces are estimated
-stochastically with Hutchinson probes, and Jacobian-vector products come
-from :func:`jvp`, the one central finite difference, so no autodiff is
-involved. All probes advance in lockstep: each series step is one JVP on
-the stack of probe directions, which ``jvp`` hands the branch in stacks of
-at most :func:`_grids_per_call` grids. The exact oracle, up to
+stochastically with Hutchinson probes, and no autodiff is involved. For an
+attention block the series applies :func:`linearize`, the exact J_g(x) built
+once at x from the closed form of the branch's derivative. :func:`jvp`, the
+one central finite difference, is the independent reference: the dense
+oracle, :func:`logdet_series_from_branch` (any branch callable) and the
+Lipschitz local probes use it. All probes advance in lockstep: each series
+step applies J_g to the whole stack of probe directions, in stacks of at
+most :func:`_grids_per_call` grids. The exact oracle, up to
 :data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, the columns of J_g being
 one JVP along the unit vectors.
 
@@ -21,7 +24,20 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionBlock, FeatureGrid, _grids_per_call, as_grid, make_residual_branch
+from .attention import (
+    _EXP_KINDS,
+    AttentionBlock,
+    FeatureGrid,
+    _grids_per_call,
+    apply_phi,
+    as_grid,
+    grid_to_matrix,
+    make_residual_branch,
+    matrix_to_grid,
+    normalize_response,
+    pairwise_logits,
+    phi_slope,
+)
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
 
@@ -32,7 +48,12 @@ PROBE_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 @dataclass
 class LogDetConfig:
-    """Series truncation, probe count, and JVP step for the estimator."""
+    """Series truncation, probe count, and JVP step for the estimator.
+
+    ``jvp_epsilon`` is the central-difference step of
+    :func:`logdet_series_from_branch`; :func:`logdet_series` applies the
+    exact linearization and does not read it.
+    """
 
     series_terms: int = 10
     hutchinson_samples: int = 8
@@ -105,6 +126,97 @@ def jvp(
     return diffs[0] if len(diffs) == 1 else np.concatenate(diffs)
 
 
+def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact Jacobian J_g(x) of an invertible-variant block's branch at
+    one grid ``x``, as a map from a ``(P,) + x.shape`` direction stack to the
+    stack of J_g(x) V.
+
+    With logits L, raw = phi(L) (exp(L) up to a column shift for the
+    exponential kinds), column sums s, R = t raw / s and F = X W_fᵀ, the
+    branch is g = R F W_lᵀ, so for q = phi'(L) * dL
+    ``dR = (t q - R colsum(q)) / s`` (``(q - R sum(q)) / S`` under
+    ``global_sum``) and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``. The division by s
+    is folded into F, so dR is never formed. A dead column (sum zero, filled
+    uniform) has zero derivative; relu has slope 0 at 0. The pieces are
+    computed once here, in float64; each call splits its stack under
+    :func:`_grids_per_call`, and non-finite output raises
+    :class:`FloatingPointError`.
+    """
+    if block.variant != "invertible":
+        raise ValueError("linearize requires an invertible-variant block")
+    x = as_grid(x).astype(np.float64, copy=False)
+    if x.ndim != 3:
+        raise ValueError(f"linearize takes one (C, H, W) grid, got shape {x.shape}")
+    height, width = x.shape[-2:]
+    positions = height * width
+    pos = grid_to_matrix(x)
+    logits = pairwise_logits(pos, block)
+    # exp kinds shift each column by its largest logit; column normalization
+    # cancels the shift's derivative, a global sum does not
+    shift_rows = None
+    if block.kind in _EXP_KINDS:
+        raw = np.exp(logits - logits.max(axis=0, keepdims=True))
+        slope = raw
+        if block.global_sum:
+            shift_rows = logits.argmax(axis=0)
+    else:
+        raw = apply_phi(logits, block.phi)
+        slope = phi_slope(logits, block.phi)
+    slope = slope * block.logit_scale
+    resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target, block.global_sum)
+    sums = raw.sum(axis=0)
+    if block.global_sum:
+        sums = sums.sum(keepdims=True)
+    inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
+    focus_t = block.focus.weight.T
+    feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
+    feat_q = (1.0 if block.global_sum else block.column_sum_target) * feat_scaled
+    last_t = block.last.weight.T
+    ones = np.ones(positions)
+    if block.kind == "concat":  # the pair scorer folded into the embeddings
+        half = block.embed1.out_dim
+        scorer = block.pair_scorer[0].astype(np.float64)
+        score1 = block.embed1.weight.T @ scorer[:half]
+        score2 = block.embed2.weight.T @ scorer[half:]
+    elif block.kind != "gaussian":
+        embed1_t, embed2_t = block.embed1.weight.T, block.embed2.weight.T
+        e1, e2 = pos @ embed1_t, pos @ embed2_t
+
+    def logit_step(dpos: np.ndarray) -> np.ndarray:
+        if block.kind == "gaussian":
+            half_step = dpos @ pos.T
+            step = half_step + half_step.swapaxes(-1, -2)
+        elif block.kind == "concat":
+            return (dpos @ score1)[..., :, None] + (dpos @ score2)[..., None, :]
+        else:
+            step = (dpos @ embed1_t) @ e2.T + e1 @ (dpos @ embed2_t).swapaxes(-1, -2)
+        if shift_rows is not None:
+            step -= step[..., shift_rows, np.arange(positions)][..., None, :]
+        return step
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape[1:] != x.shape:
+            raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")
+        chunk = _grids_per_call(x.shape)
+        outs = []
+        for start in range(0, v.shape[0], chunk):
+            dpos = grid_to_matrix(v[start : start + chunk])
+            q = slope * logit_step(dpos)
+            q_sums = ones @ q  # column sums, (P, m)
+            if block.global_sum:
+                q_sums = q_sums.sum(axis=-1, keepdims=True)
+            # dR F + R dF = q (t F / s) + R (dF - colsum(q) F / s)
+            d_attn = q @ feat_q + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
+            out = d_attn @ last_t
+            if not np.isfinite(out).all():
+                raise FloatingPointError("non-finite values from the linearized branch")
+            outs.append(matrix_to_grid(out, height, width))
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+    return apply
+
+
 def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np.ndarray:
     if distribution == "rademacher":
         return (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
@@ -112,16 +224,14 @@ def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np
 
 
 def _probe_trace_samples(
-    g: Callable[[FeatureGrid], FeatureGrid],
-    x: FeatureGrid,
+    apply: Callable[[np.ndarray], np.ndarray],
     v0: np.ndarray,
     k: int,
-    eps: float,
 ) -> np.ndarray:
-    """Trace samples v0' (J_g^j v0) for j = 1..k of a (P,) + x.shape probe
-    stack, as a (P, k) array.
+    """Trace samples v0' (J_g^j v0) for j = 1..k of a (P, C, H, W) probe
+    stack, as a (P, k) array; ``apply`` maps a direction stack to J_g V.
 
-    All probes take each step together, one :func:`jvp` on their stack; all
+    All probes take each step together, one ``apply`` on their stack; all
     arithmetic is per probe. Each probe is renormalized between applications
     so nested finite differences stay at unit scale; its magnitude is
     carried in log space. A probe whose step has zero norm keeps zero
@@ -139,7 +249,7 @@ def _probe_trace_samples(
     for j in range(k):
         if not live.any():
             break
-        u = jvp(g, x, w.reshape(v0.shape), eps).reshape(n_probes, -1)
+        u = apply(w.reshape(v0.shape)).reshape(n_probes, -1)
         norms = np.linalg.norm(u, axis=1)
         live &= norms > 0.0
         scale = np.where(live, norms, 1.0)
@@ -149,25 +259,16 @@ def _probe_trace_samples(
     return samples
 
 
-def logdet_series_from_branch(
-    branch: Callable[[FeatureGrid], FeatureGrid],
-    x: FeatureGrid,
-    cfg: LogDetConfig | None = None,
+def _series_estimate(
+    apply: Callable[[np.ndarray], np.ndarray],
+    shape: tuple[int, ...],
+    cfg: LogDetConfig,
 ) -> LogDetEstimate:
-    """Truncated alternating series for ln|det J_f(x)| of f(x) = x + g(x).
-
-    ``branch`` is g, not f, and must map a (P, C, H, W) stack of grids: each
-    series step is one JVP over all probes. Valid when the branch Jacobian
-    has spectral norm below 1; the per-term trail lets callers audit decay.
-    """
-    if cfg is None:
-        cfg = LogDetConfig()
-    x = as_grid(x)
     rng = np.random.default_rng(cfg.seed)
     n_terms = cfg.series_terms
     n_probes = cfg.hutchinson_samples
-    probes = np.stack([_draw_probe(rng, x.shape, cfg.probe_distribution) for _ in range(n_probes)])
-    samples = _probe_trace_samples(branch, x, probes, n_terms, cfg.jvp_epsilon)
+    probes = np.stack([_draw_probe(rng, shape, cfg.probe_distribution) for _ in range(n_probes)])
+    samples = _probe_trace_samples(apply, probes, n_terms)
     powers = np.arange(1, n_terms + 1)
     signs = np.where(powers % 2 == 1, 1.0, -1.0)
     term_samples = signs * samples / powers
@@ -185,15 +286,36 @@ def logdet_series_from_branch(
     )
 
 
+def logdet_series_from_branch(
+    branch: Callable[[FeatureGrid], FeatureGrid],
+    x: FeatureGrid,
+    cfg: LogDetConfig | None = None,
+) -> LogDetEstimate:
+    """Truncated alternating series for ln|det J_f(x)| of f(x) = x + g(x).
+
+    ``branch`` is g, not f, and must map a (P, C, H, W) stack of grids: each
+    series step is one :func:`jvp` (step ``cfg.jvp_epsilon``) over all
+    probes. Valid when the branch Jacobian has spectral norm below 1; the
+    per-term trail lets callers audit decay.
+    """
+    if cfg is None:
+        cfg = LogDetConfig()
+    x = as_grid(x)
+    return _series_estimate(lambda v: jvp(branch, x, v, cfg.jvp_epsilon), x.shape, cfg)
+
+
 def logdet_series(
     block: AttentionBlock,
     x: FeatureGrid,
     cfg: LogDetConfig | None = None,
 ) -> LogDetEstimate:
-    """Series estimate for an invertible-variant attention block at ``x``."""
+    """Series estimate for an invertible-variant attention block at ``x``:
+    the probes of :func:`logdet_series_from_branch`, each step applying
+    :func:`linearize` instead of a finite difference."""
     if block.variant != "invertible":
         raise ValueError("logdet_series requires an invertible-variant block")
-    return logdet_series_from_branch(make_residual_branch(block), x, cfg)
+    x = as_grid(x)
+    return _series_estimate(linearize(block, x), x.shape, cfg or LogDetConfig())
 
 
 def brute_force_logdet_from_branch(

@@ -334,6 +334,20 @@ class TestEstimateLipschitz:
         b = estimate_lipschitz(g, normal_sampler((3, 3, 3)), pairs=100, seed=9, local_probes=2)
         assert a == b
 
+    def test_local_probes_evaluate_the_base_point_once(self):
+        calls = []
+
+        def g(x):
+            calls.append(x.shape)
+            return 0.5 * x
+
+        est = estimate_lipschitz(g, normal_sampler((2, 2, 2)), pairs=1, seed=4, local_probes=1)
+        # one pair (2 calls), then g(x1) once and 12 rounds of g(x1 + eps d)
+        # plus a two-sided JVP (3 calls each)
+        assert len(calls) == 2 + 1 + 12 * 3
+        assert est.sample_pairs == 1 + 12
+        assert abs(est.sup_ratio - 0.5) <= 1e-9
+
     def test_pairs_validated(self):
         with pytest.raises(ValueError):
             estimate_lipschitz(lambda x: x, normal_sampler((1, 1, 1)), pairs=0)

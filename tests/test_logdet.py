@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from invattn import attention
-from invattn.attention import build_block, make_residual_branch
+from invattn import attention, logdet
+from invattn.attention import KINDS, build_block, grid_to_matrix, make_residual_branch, pairwise_logits
 from invattn.errors import InvariantViolation
 from invattn.logdet import (
     LogDetConfig,
@@ -12,6 +12,7 @@ from invattn.logdet import (
     brute_force_logdet,
     brute_force_logdet_from_branch,
     jvp,
+    linearize,
     logdet_series,
     logdet_series_from_branch,
 )
@@ -149,6 +150,91 @@ class TestJvp:
         assert np.array_equal(chunked, whole)
 
 
+LINEARIZE_CONFIGS = {
+    "softplus": {},
+    "elu": {"phi": "elu"},
+    "relu": {"phi": "relu"},
+    "float32": {"dtype": np.float32},
+    "logit_scale": {"logit_scale": 3.0},
+    "column_sum_target": {"column_sum_target": 0.5},
+    "global_sum": {"global_sum": True},
+}
+
+
+def assert_matches_finite_difference(block, x, directions, eps=1e-5):
+    """Elementwise against the FD reference, to 1e-8 of its largest entry."""
+    exact = linearize(block, x)(directions)
+    reference = jvp(make_residual_branch(block), x, directions, eps)
+    assert exact.shape == reference.shape
+    assert np.abs(exact - reference).max() <= 1e-8 * np.abs(reference).max()
+
+
+class TestLinearize:
+    @pytest.mark.parametrize("config", LINEARIZE_CONFIGS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_finite_difference(self, kind, config):
+        options = LINEARIZE_CONFIGS[config]
+        block = build_block(kind, "invertible", 4, seed=51, **options)
+        rng = np.random.default_rng(56)
+        x = rng.uniform(0.0, 1.0, (4, 3, 5)).astype(options.get("dtype", np.float64))
+        eps = 1e-5
+        if config == "relu":  # every logit off relu's kink
+            assert np.abs(pairwise_logits(grid_to_matrix(x), block)).min() > 1e-3
+            # small relu column sums curve the response: the reference's
+            # O(eps^2) truncation is 2e-8 to 7e-8 relative at eps = 1e-5
+            eps = 1e-6
+        assert_matches_finite_difference(block, x, rng.standard_normal((6, 4, 3, 5)), eps)
+
+    def test_dead_column_has_zero_derivative(self):
+        # the zero position of test_attention's forced-zero-column case: its
+        # embedding is zero, so its relu(dot) column (and row) is zero and the
+        # column is filled uniform; directions that keep the position at zero
+        # keep the column dead, so its derivative is 0
+        block = build_block("dot", "invertible", 4, seed=34, phi="relu")
+        x = np.random.default_rng(35).uniform(0.0, 1.0, (3, 4, 3, 5))[1]
+        x[:, 0, 0] = 0.0
+        logits = pairwise_logits(grid_to_matrix(x), block)
+        assert np.array_equal(logits[:, 0], np.zeros(15))
+        directions = np.random.default_rng(36).standard_normal((5, 4, 3, 5))
+        directions[:, :, 0, 0] = 0.0
+        for side in (1e-5, -1e-5):  # the finite difference crosses no kink
+            moved = pairwise_logits(grid_to_matrix(x + side * directions), block)
+            assert np.array_equal(np.sign(moved), np.broadcast_to(np.sign(logits), moved.shape))
+        assert_matches_finite_difference(block, x, directions)
+
+    def test_direction_stack_split_under_the_stack_cap(self, monkeypatch):
+        block = build_block("embedded", "invertible", 3, seed=53)
+        rng = np.random.default_rng(54)
+        x = rng.uniform(0.0, 1.0, (3, 4, 4))
+        directions = rng.standard_normal((10, 3, 4, 4))
+        apply = linearize(block, x)
+        whole = apply(directions)
+        chunks = []
+        to_grid = logdet.matrix_to_grid
+
+        def counting(mat, height, width):
+            chunks.append(mat.shape[0])
+            return to_grid(mat, height, width)
+
+        monkeypatch.setattr(logdet, "matrix_to_grid", counting)
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 3 * 16**2)  # 3 grids per stack
+        assert np.array_equal(apply(directions), whole)
+        assert chunks == [3, 3, 3, 1]
+
+    def test_validation(self):
+        block = build_block("concat", "invertible", 3, seed=55)
+        x = np.zeros((3, 2, 2))
+        with pytest.raises(ValueError):
+            linearize(build_block("concat", "noninvertible", 3, seed=55), x)
+        with pytest.raises(ValueError):
+            linearize(block, np.zeros((2, 3, 2, 2)))
+        apply = linearize(block, x)
+        with pytest.raises(ValueError):
+            apply(np.zeros((3, 2, 2)))
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            apply(np.full((1, 3, 2, 2), np.inf))
+
+
 class TestHutchinsonTracePower:
     """tr(J_g^k) estimates, read off the k-th term of the series."""
 
@@ -187,7 +273,7 @@ class TestHutchinsonTracePower:
         probes = np.array(
             [[1, 1, 1, -1], [1, -1, 1, 1], [-1, -1, -1, 1], [-1, 1, 1, 1]], dtype=float
         ).reshape(4, 4, 1, 1)
-        samples = _probe_trace_samples(linear_branch(m), np.zeros((4, 1, 1)), probes, 5, 1e-5)
+        samples = _probe_trace_samples(linear_branch(m), probes, 5)  # a linear map is its own J
         assert np.array_equal(samples[[1, 3]], np.zeros((2, 5)))
         assert np.abs(samples[[0, 2]] - 2.0 * 0.5 ** np.arange(1, 6)).max() <= 1e-12
 
@@ -262,6 +348,15 @@ class TestLogDetSeries:
         monkeypatch.setattr(attention, "_STACK_ELEMENTS", 3 * 16)  # 3 probes per branch call
         chunked = logdet_series(block, x, cfg)
         assert np.abs(np.subtract(chunked.per_term_contributions, whole.per_term_contributions)).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_and_finite_difference_paths_agree(self, kind):
+        block = build_block(kind, "invertible", 3, seed=56)
+        x = np.random.default_rng(57).uniform(0, 1, (3, 4, 4))  # d = 48
+        cfg = LogDetConfig(series_terms=10, hutchinson_samples=16, seed=58)
+        exact = logdet_series(block, x, cfg)
+        reference = logdet_series_from_branch(make_residual_branch(block), x, cfg)
+        assert abs(exact.value - reference.value) <= 1e-7 * abs(reference.value)
 
     def test_requires_invertible_variant(self):
         block = build_block("dot", "noninvertible", 3, seed=7)
