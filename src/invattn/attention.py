@@ -34,7 +34,7 @@ PHI_CHOICES = ("softplus", "relu", "elu")
 _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
-BLOCK_FORMAT_VERSION = 1
+BLOCK_FORMAT_VERSION = 2
 # A stacked branch call holds a few (grids, m, m) responses: cap grids * m^2 so
 # that each stays within 4 MB in float64. Past 64 grids the per-call overhead is
 # already spread thin, and a larger stack only adds memory and cache misses.
@@ -210,7 +210,6 @@ class AttentionBlock:
     phi: str = "softplus"
     logit_scale: float = 1.0
     column_sum_target: float = 1.0
-    global_sum: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -268,16 +267,14 @@ def build_block(
     dtype: np.dtype = np.float64,
     logit_scale: float = 1.0,
     column_sum_target: float = 1.0,
-    global_sum: bool = False,
-    constrain_embeddings: bool = False,
 ) -> AttentionBlock:
     """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights,
     embeddings of width ``max(1, channels // 2)``, and every spectral bound
     enforced.
 
-    ``constrain_embeddings`` additionally bounds the response-path weights
-    (one of the invertibility-enhancement knobs); the default leaves them
-    free, matching the relaxed conditions the invertible variant targets.
+    Only the focus and output convs are bounded; the response-path weights
+    (embeddings and pair scorer) stay free, matching the relaxed conditions
+    the invertible variant targets.
     """
     rng = np.random.default_rng(seed)
     invertible = variant == "invertible"
@@ -288,19 +285,14 @@ def build_block(
 
     focus = SpectralLinear(init(channels, channels), bound=c if invertible else None)
     last = SpectralLinear(init(channels, channels), bound=c) if invertible else None
-    embed_bound = c if (invertible and constrain_embeddings) else None
     embed1 = embed2 = None
     pair_scorer = None
     if kind != "gaussian":
         width = max(1, channels // 2)
-        embed1 = SpectralLinear(init(width, channels), bound=embed_bound)
-        embed2 = SpectralLinear(init(width, channels), bound=embed_bound)
+        embed1 = SpectralLinear(init(width, channels))
+        embed2 = SpectralLinear(init(width, channels))
         if kind == "concat":
             pair_scorer = init(1, 2 * width)
-            if invertible and constrain_embeddings:
-                nrm = float(np.linalg.norm(pair_scorer))
-                if nrm > c:
-                    pair_scorer = pair_scorer * (c / nrm)
     block = AttentionBlock(
         kind=kind,
         variant=variant,
@@ -313,7 +305,6 @@ def build_block(
         phi=phi,
         logit_scale=logit_scale,
         column_sum_target=column_sum_target,
-        global_sum=global_sum,
     )
     block.normalize_weights(seed=seed)
     return block
@@ -373,16 +364,14 @@ def normalize_response(
     kind: str,
     variant: str,
     column_sum_target: float = 1.0,
-    global_sum: bool = False,
 ) -> np.ndarray:
     """Normalize raw responses (one m x m matrix or a stack) into R(x).
 
-    Invertible variant: columns scaled to sum to ``column_sum_target``
-    (1 by default, so the matrix L1 norm is exactly 1); with ``global_sum``
-    the whole matrix is scaled to sum to 1 instead. Non-invertible gaussian
-    and embedded rows are scaled to sum to 1; non-invertible dot/concat
-    entries are divided by the position count. Columns or rows that sum to
-    zero are replaced by uniform weights rather than dividing by zero.
+    Invertible variant: columns scaled to sum to ``column_sum_target`` t
+    (1 by default, so the matrix L1 norm is exactly t); a column that sums
+    to zero is filled with t/m. Non-invertible gaussian and embedded rows
+    are scaled to sum to 1, a zero row filled with 1/m; non-invertible
+    dot/concat entries are divided by the position count.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -396,11 +385,10 @@ def normalize_response(
     if variant == "invertible":
         if np.any(a < 0):
             raise InvariantViolation("negative raw response under invertible normalization")
-        target = 1.0 if global_sum else column_sum_target
-        sums = a.sum(axis=(-2, -1) if global_sum else -2, keepdims=True)
+        sums = a.sum(axis=-2, keepdims=True)
         dead = sums == 0.0
-        out = a * (target / np.where(dead, 1.0, sums))
-        fill = target / (m * m if global_sum else m)
+        out = a * (column_sum_target / np.where(dead, 1.0, sums))
+        fill = column_sum_target / m
     elif kind in _EXP_KINDS:
         sums = a.sum(axis=-1, keepdims=True)
         dead = sums == 0.0
@@ -415,13 +403,7 @@ def normalize_response(
 
 def response_map(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
     """The normalized m x m response map for ``x``."""
-    return normalize_response(
-        raw_response(x, block),
-        block.kind,
-        block.variant,
-        column_sum_target=block.column_sum_target,
-        global_sum=block.global_sum,
-    )
+    return normalize_response(raw_response(x, block), block.kind, block.variant, block.column_sum_target)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +527,6 @@ def block_to_dict(block: AttentionBlock) -> dict:
         "precision": precision,
         "logit_scale": block.logit_scale,
         "column_sum_target": block.column_sum_target,
-        "global_sum": block.global_sum,
         "weights": {
             "focus": _weight_to_dict(block.focus),
             "last": _weight_to_dict(block.last),
@@ -580,7 +561,6 @@ def block_from_dict(d: dict) -> AttentionBlock:
         phi=d["phi"],
         logit_scale=float(d["logit_scale"]),
         column_sum_target=float(d["column_sum_target"]),
-        global_sum=bool(d["global_sum"]),
     )
 
 

@@ -70,7 +70,6 @@ class ExperimentConfig:
     stress_weight_scale: float = 1.0
     stress_logit_scale: float = 1.0
     column_sum_target: float = 1.0
-    global_sum: bool = False
     out_dir: str = "out"
 
     def validate(self) -> None:
@@ -93,8 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"c must be in (0, 1), got {self.c}")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.tol < 0.0:
-            raise ValueError("tol must be >= 0")
+        if not self.tol >= 0.0:  # also refuses NaN
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.precision not in (32, 64):
             raise ValueError(f"precision must be 32 or 64, got {self.precision}")
         if self.squeeze_levels < 0:
@@ -109,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("vscore_floor must be in [0, 1]")
         if self.logdet_terms < 1 or self.logdet_samples < 1:
             raise ValueError("logdet_terms and logdet_samples must be >= 1")
+        if not (0.0 < self.column_sum_target <= 1.0):
+            raise ValueError(f"column_sum_target must be in (0, 1], got {self.column_sum_target}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -253,7 +254,6 @@ def make_block(cfg: ExperimentConfig, kind: str, seed: int) -> AttentionBlock:
         dtype=cfg.dtype,
         logit_scale=cfg.stress_logit_scale,
         column_sum_target=cfg.column_sum_target,
-        global_sum=cfg.global_sum,
     )
     if cfg.stress_weight_scale != 1.0:
         _scale_weights_inplace(block, cfg.stress_weight_scale)

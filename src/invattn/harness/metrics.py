@@ -22,19 +22,18 @@ def compute_mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def compute_ssim(
-    a: np.ndarray,
-    b: np.ndarray,
-    window: int = 8,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    dynamic_range: float = 255.0,
-) -> float:
+_DYNAMIC_RANGE = 255.0
+# the standard SSIM stabilizers (k1 L)^2 and (k2 L)^2, k1 = 0.01 and k2 = 0.03
+_C1 = (0.01 * _DYNAMIC_RANGE) ** 2
+_C2 = (0.03 * _DYNAMIC_RANGE) ** 2
+
+
+def compute_ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:
     """Mean structural similarity over sliding windows and channels.
 
     Uniform square windows, population window moments, and the standard
-    luminance-contrast-structure product with stabilizers (k1*L)^2 and
-    (k2*L)^2 where L is the dynamic range.
+    luminance-contrast-structure product with stabilizers (0.01 L)^2 and
+    (0.03 L)^2, L = 255 being the dynamic range.
     """
     a = as_grid(a)
     b = as_grid(b)
@@ -46,8 +45,6 @@ def compute_ssim(
         raise ValueError(
             f"window {window} exceeds spatial dims {a.shape[-2]}x{a.shape[-1]}"
         )
-    c1 = (k1 * dynamic_range) ** 2
-    c2 = (k2 * dynamic_range) ** 2
-    a255 = a.astype(np.float64) * dynamic_range
-    b255 = b.astype(np.float64) * dynamic_range
-    return float(kernels.ssim_mean(a255, b255, window, c1, c2))
+    a255 = a.astype(np.float64) * _DYNAMIC_RANGE
+    b255 = b.astype(np.float64) * _DYNAMIC_RANGE
+    return float(kernels.ssim_mean(a255, b255, window, _C1, _C2))

@@ -46,8 +46,8 @@ class InversionConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.early_stop_tol < 0.0:
-            raise ValueError("early_stop_tol must be >= 0")
+        if not self.early_stop_tol >= 0.0:  # also refuses NaN
+            raise ValueError(f"early_stop_tol must be >= 0, got {self.early_stop_tol}")
 
 
 @dataclass

@@ -43,22 +43,18 @@ from .linalg import lu_logabsdet
 
 DENSE_ORACLE_MAX_DIM = 768
 """Largest dimension d the dense-Jacobian log-det oracle accepts."""
-PROBE_DISTRIBUTIONS = ("rademacher", "gaussian")
+FD_STEP = 1e-5
+"""Central-difference step of :func:`logdet_series_from_branch` and the
+dense oracle."""
 
 
 @dataclass
 class LogDetConfig:
-    """Series truncation, probe count, and JVP step for the estimator.
-
-    ``jvp_epsilon`` is the central-difference step of
-    :func:`logdet_series_from_branch`; :func:`logdet_series` applies the
-    exact linearization and does not read it.
-    """
+    """Series truncation, Rademacher probe count, and probe seed for the
+    estimator; the finite-difference paths step by :data:`FD_STEP`."""
 
     series_terms: int = 10
     hutchinson_samples: int = 8
-    jvp_epsilon: float = 1e-5
-    probe_distribution: str = "rademacher"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,13 +62,6 @@ class LogDetConfig:
             raise ValueError("series_terms must be >= 1")
         if self.hutchinson_samples < 1:
             raise ValueError("hutchinson_samples must be >= 1")
-        if self.jvp_epsilon <= 0.0:
-            raise ValueError("jvp_epsilon must be > 0")
-        if self.probe_distribution not in PROBE_DISTRIBUTIONS:
-            raise ValueError(
-                f"unknown probe distribution {self.probe_distribution!r}; "
-                f"choose from {PROBE_DISTRIBUTIONS}"
-            )
 
 
 @dataclass
@@ -96,7 +85,7 @@ def jvp(
     g: Callable[[FeatureGrid], FeatureGrid],
     x: FeatureGrid,
     v: np.ndarray,
-    eps: float = 1e-5,
+    eps: float = FD_STEP,
 ) -> np.ndarray:
     """Central-difference directional derivative J_g(x) v.
 
@@ -131,13 +120,13 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     one grid ``x``, as a map from a ``(P,) + x.shape`` direction stack to the
     stack of J_g(x) V.
 
-    With logits L, raw = phi(L) (exp(L) up to a column shift for the
-    exponential kinds), column sums s, R = t raw / s and F = X W_fᵀ, the
-    branch is g = R F W_lᵀ, so for q = phi'(L) * dL
-    ``dR = (t q - R colsum(q)) / s`` (``(q - R sum(q)) / S`` under
-    ``global_sum``) and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``. The division by s
-    is folded into F, so dR is never formed. A dead column (sum zero, filled
-    uniform) has zero derivative; relu has slope 0 at 0. The pieces are
+    With logits L, raw = phi(L) (exp(L) for the exponential kinds, whose
+    per-column shift the column normalization cancels), column sums s,
+    R = t raw / s and F = X W_fᵀ, the branch is g = R F W_lᵀ, so for
+    q = phi'(L) * dL ``dR = (t q - R colsum(q)) / s`` and
+    ``dg = (dR F + R dX W_fᵀ) W_lᵀ``. The division by s is folded into F,
+    so dR is never formed. A dead column (sum zero, filled uniform) has
+    zero derivative; relu has slope 0 at 0. The pieces are
     computed once here, in float64; each call splits its stack under
     :func:`_grids_per_call`, and non-finite output raises
     :class:`FloatingPointError`.
@@ -151,26 +140,19 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     positions = height * width
     pos = grid_to_matrix(x)
     logits = pairwise_logits(pos, block)
-    # exp kinds shift each column by its largest logit; column normalization
-    # cancels the shift's derivative, a global sum does not
-    shift_rows = None
     if block.kind in _EXP_KINDS:
         raw = np.exp(logits - logits.max(axis=0, keepdims=True))
         slope = raw
-        if block.global_sum:
-            shift_rows = logits.argmax(axis=0)
     else:
         raw = apply_phi(logits, block.phi)
         slope = phi_slope(logits, block.phi)
     slope = slope * block.logit_scale
-    resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target, block.global_sum)
+    resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target)
     sums = raw.sum(axis=0)
-    if block.global_sum:
-        sums = sums.sum(keepdims=True)
     inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
     focus_t = block.focus.weight.T
     feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
-    feat_q = (1.0 if block.global_sum else block.column_sum_target) * feat_scaled
+    feat_q = block.column_sum_target * feat_scaled
     last_t = block.last.weight.T
     ones = np.ones(positions)
     if block.kind == "concat":  # the pair scorer folded into the embeddings
@@ -185,14 +167,10 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     def logit_step(dpos: np.ndarray) -> np.ndarray:
         if block.kind == "gaussian":
             half_step = dpos @ pos.T
-            step = half_step + half_step.swapaxes(-1, -2)
-        elif block.kind == "concat":
+            return half_step + half_step.swapaxes(-1, -2)
+        if block.kind == "concat":
             return (dpos @ score1)[..., :, None] + (dpos @ score2)[..., None, :]
-        else:
-            step = (dpos @ embed1_t) @ e2.T + e1 @ (dpos @ embed2_t).swapaxes(-1, -2)
-        if shift_rows is not None:
-            step -= step[..., shift_rows, np.arange(positions)][..., None, :]
-        return step
+        return (dpos @ embed1_t) @ e2.T + e1 @ (dpos @ embed2_t).swapaxes(-1, -2)
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -204,8 +182,6 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
             dpos = grid_to_matrix(v[start : start + chunk])
             q = slope * logit_step(dpos)
             q_sums = ones @ q  # column sums, (P, m)
-            if block.global_sum:
-                q_sums = q_sums.sum(axis=-1, keepdims=True)
             # dR F + R dF = q (t F / s) + R (dF - colsum(q) F / s)
             d_attn = q @ feat_q + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
             out = d_attn @ last_t
@@ -215,12 +191,6 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
         return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
     return apply
-
-
-def _draw_probe(rng: np.random.Generator, shape: tuple, distribution: str) -> np.ndarray:
-    if distribution == "rademacher":
-        return (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
-    return rng.standard_normal(shape)
 
 
 def _probe_trace_samples(
@@ -267,7 +237,7 @@ def _series_estimate(
     rng = np.random.default_rng(cfg.seed)
     n_terms = cfg.series_terms
     n_probes = cfg.hutchinson_samples
-    probes = np.stack([_draw_probe(rng, shape, cfg.probe_distribution) for _ in range(n_probes)])
+    probes = (rng.integers(0, 2, size=(n_probes,) + shape) * 2 - 1).astype(np.float64)  # Rademacher
     samples = _probe_trace_samples(apply, probes, n_terms)
     powers = np.arange(1, n_terms + 1)
     signs = np.where(powers % 2 == 1, 1.0, -1.0)
@@ -294,14 +264,14 @@ def logdet_series_from_branch(
     """Truncated alternating series for ln|det J_f(x)| of f(x) = x + g(x).
 
     ``branch`` is g, not f, and must map a (P, C, H, W) stack of grids: each
-    series step is one :func:`jvp` (step ``cfg.jvp_epsilon``) over all
+    series step is one :func:`jvp` (step :data:`FD_STEP`) over all
     probes. Valid when the branch Jacobian has spectral norm below 1; the
     per-term trail lets callers audit decay.
     """
     if cfg is None:
         cfg = LogDetConfig()
     x = as_grid(x)
-    return _series_estimate(lambda v: jvp(branch, x, v, cfg.jvp_epsilon), x.shape, cfg)
+    return _series_estimate(lambda v: jvp(branch, x, v, FD_STEP), x.shape, cfg)
 
 
 def logdet_series(
@@ -318,13 +288,10 @@ def logdet_series(
     return _series_estimate(linearize(block, x), x.shape, cfg or LogDetConfig())
 
 
-def brute_force_logdet_from_branch(
-    branch: Callable[[FeatureGrid], FeatureGrid],
-    x: FeatureGrid,
-    eps: float = 1e-5,
-) -> float:
+def brute_force_logdet_from_branch(branch: Callable[[FeatureGrid], FeatureGrid], x: FeatureGrid) -> float:
     """Exact ln|det J_f(x)| for f = id + branch: LU of I + J_g, the columns
-    of J_g being one :func:`jvp` of ``branch`` along the unit vectors.
+    of J_g being one :func:`jvp` of ``branch`` (step :data:`FD_STEP`) along
+    the unit vectors.
 
     ``branch`` must map a (B, C, H, W) stack of grids; non-finite output
     raises :class:`FloatingPointError`. Asserts the determinant sign is +1,
@@ -336,7 +303,7 @@ def brute_force_logdet_from_branch(
     dim = x.size
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")
-    columns = jvp(branch, x, np.eye(dim).reshape((dim,) + x.shape), eps)
+    columns = jvp(branch, x, np.eye(dim).reshape((dim,) + x.shape), FD_STEP)
     logabs, sign = lu_logabsdet(np.eye(dim) + columns.reshape(dim, dim).T)
     if sign != 1:
         raise InvariantViolation(
@@ -345,6 +312,6 @@ def brute_force_logdet_from_branch(
     return logabs
 
 
-def brute_force_logdet(block: AttentionBlock, x: FeatureGrid, eps: float = 1e-5) -> float:
+def brute_force_logdet(block: AttentionBlock, x: FeatureGrid) -> float:
     """Dense-Jacobian oracle for an attention block's full map x + g(x)."""
-    return brute_force_logdet_from_branch(make_residual_branch(block), x, eps)
+    return brute_force_logdet_from_branch(make_residual_branch(block), x)

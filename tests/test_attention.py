@@ -262,9 +262,10 @@ class TestNormalizeResponse:
     def test_zero_column_becomes_uniform(self):
         raw = np.zeros((4, 4))
         raw[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        out = normalize_response(raw, "dot", "invertible")
-        assert np.allclose(out[:, 0], 0.25)
-        assert abs(out[:, 1].sum() - 1.0) <= 1e-12
+        for target in (1.0, 0.5):  # a dead column is filled with t/m
+            out = normalize_response(raw, "dot", "invertible", column_sum_target=target)
+            assert np.allclose(out[:, [0, 2, 3]], target / 4, rtol=0.0, atol=1e-15)
+            assert abs(out[:, 1].sum() - target) <= 1e-12
 
     def test_negative_entry_rejected_for_invertible(self):
         raw = np.array([[0.5, -0.1], [0.5, 1.1]])
@@ -293,12 +294,6 @@ class TestNormalizeResponse:
         raw = rng.uniform(0.1, 1.0, (4, 4))
         out = normalize_response(raw, "concat", "invertible", column_sum_target=0.5)
         assert np.abs(out.sum(axis=0) - 0.5).max() <= 1e-12
-
-    def test_global_sum_variant(self):
-        rng = np.random.default_rng(12)
-        raw = rng.uniform(0.1, 1.0, (4, 4))
-        out = normalize_response(raw, "concat", "invertible", global_sum=True)
-        assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_square_required(self):
         with pytest.raises(ValueError):
@@ -462,11 +457,6 @@ class TestBlockConstruction:
         tiny = build_block("dot", "invertible", 1, seed=23)
         assert tiny.embed1.out_dim == 1
 
-    def test_constrain_embeddings_knob(self):
-        block = build_block("concat", "invertible", 6, seed=24, constrain_embeddings=True)
-        assert exact_svd_oracle(block.embed1.weight)[0] <= 0.9 + 1e-6
-        assert np.linalg.norm(block.pair_scorer) <= 0.9 + 1e-12
-
     def test_renormalization_is_stable(self):
         rng = np.random.default_rng(21)
         block = build_block("embedded", "invertible", 3, seed=25)
@@ -508,9 +498,9 @@ class TestSerialization:
         bad = dict(payload, format="something-else")
         with pytest.raises(ValueError):
             block_from_dict(bad)
-        bad = dict(payload, version=99)
-        with pytest.raises(ValueError):
-            block_from_dict(bad)
+        for version in (1, 99):  # version 1 stored an option this version no longer reads
+            with pytest.raises(ValueError, match="container version"):
+                block_from_dict(dict(payload, version=version))
 
     def test_container_is_plain_json(self, tmp_path):
         block = build_block("concat", "invertible", 3, seed=29)
@@ -518,7 +508,7 @@ class TestSerialization:
         save_block(block, path)
         parsed = json.loads(path.read_text())
         assert parsed["format"] == "invattn-block"
-        assert parsed["version"] == 1
+        assert parsed["version"] == 2
         assert parsed["weights"]["pair_scorer"]["shape"] == [1, 2]
 
 
@@ -554,7 +544,6 @@ def test_noninvertible_exponential_rows_are_distributions(kind):
 
 STACK_CONFIGS = {
     "default": {},
-    "global-sum": {"global_sum": True},
     "column-target": {"column_sum_target": 0.7},
     "logit-scale": {"logit_scale": 2.5},
     "float32": {"dtype": np.float32},
@@ -598,7 +587,7 @@ def test_stacked_branch_with_a_forced_zero_column():
     [
         ("dot", "invertible", {}),
         ("dot", "invertible", {"column_sum_target": 0.6}),
-        ("dot", "invertible", {"global_sum": True}),
+        ("gaussian", "invertible", {"column_sum_target": 0.5}),
         ("embedded", "noninvertible", {}),
         ("concat", "noninvertible", {}),
     ],

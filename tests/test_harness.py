@@ -284,6 +284,7 @@ class TestConfigPlumbing:
             {"variant": "sideways"},
             {"vscore_floor": 1.5},
             {"precision": 16},
+            {"column_sum_target": 0.0},
         ],
     )
     def test_validation_rejects(self, override):
@@ -550,6 +551,22 @@ class TestCli:
 
     def test_bad_flag_is_config_error(self):
         assert main(["run", "--variant", "diagonal"]) == EXIT_CONFIG
+
+    def test_nan_tol_is_config_error(self, tmp_path):
+        # NaN compares false with every bound: unchecked, each solve stopped
+        # after one step and read as converged
+        out = tmp_path / "out"
+        code = main(["run", "--kind", "embedded", "--size", "8", "--batch", "2",
+                     "--tol", "nan", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "records.jsonl").exists()
+
+    def test_column_sum_target_refused_before_out_dir_is_made(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kinds = dot\nsize = 8\ncolumn_sum_target = 1.5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK

@@ -40,7 +40,9 @@ class TestConfig:
         _, report = fixed_point_invert(z, lambda x: 0.5 * x, InversionConfig(max_iters=37, early_stop_tol=0.0))
         assert report.iterations_used == 37
 
-    @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"early_stop_tol": -1e-3}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_iters": 0}, {"early_stop_tol": -1e-3}, {"early_stop_tol": float("nan")}]
+    )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             InversionConfig(**kwargs)
