@@ -9,7 +9,6 @@ inversion (:mod:`invattn.inversion`), stochastic log-determinants
 
 from .attention import (
     AttentionBlock,
-    SpectralLinear,
     apply_1x1_conv,
     attention_apply,
     build_block,
@@ -36,7 +35,6 @@ from .inversion import (
     roundtrip_check,
 )
 from .linalg import (
-    PowerIterState,
     exact_svd_oracle,
     lu_logabsdet,
     norm_frobenius,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, NonFiniteError
-from .linalg import PowerIterState, as_matrix, power_iteration, spectral_normalize
+from .linalg import as_matrix, power_iteration, spectral_normalize
 
 FeatureGrid = np.ndarray
 
@@ -34,14 +34,13 @@ PHI_CHOICES = ("softplus", "relu", "elu")
 _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
-BLOCK_FORMAT_VERSION = 2
+BLOCK_FORMAT_VERSION = 3
 # A stacked branch call holds a few (grids, m, m) responses: cap grids * m^2 so
 # that each stays within 4 MB in float64. Past 64 grids the per-call overhead is
 # already spread thin, and a larger stack only adds memory and cache misses.
 _STACK_ELEMENTS = 2**19
 _STACK_GRIDS = 64
-
-_REFRESH_ITERS = 5  # power-iteration steps when re-normalizing from a kept state
+_WEIGHT_ROLES = ("focus", "last", "embed1", "embed2", "pair_scorer")
 
 
 # ---------------------------------------------------------------------------
@@ -121,65 +120,20 @@ def phi_slope(x: np.ndarray, selector: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spectrally bounded 1x1 convolutions
+# 1x1 convolutions
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpectralLinear:
-    """A channel-mixing weight matrix (1x1 conv), optionally bound-enforced.
-
-    ``bound`` is the Lipschitz target c; ``None`` leaves the weight
-    unconstrained. :meth:`normalize` must run after any weight change and
-    before forward use; with no training in this package that is once,
-    at construction.
-    """
-
-    weight: np.ndarray
-    bound: float | None = None
-    state: PowerIterState | None = None
-
-    def __post_init__(self) -> None:
-        self.weight = as_matrix(self.weight)
-        if self.bound is not None and not (0.0 < self.bound <= 1.0):
-            raise ValueError(f"spectral bound must be in (0, 1], got {self.bound}")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    def normalize(self, seed: int = 0) -> None:
-        """Refresh the sigma estimate and rescale the weight under the bound.
-
-        The cold start runs power iteration to machine convergence so the
-        enforced bound is tight and repeated calls are idempotent; a refresh
-        runs a few more iterations from the kept state.
-        """
-        if self.bound is None:
-            return
-        dtype = self.weight.dtype
-        w64 = self.weight.astype(np.float64, copy=False)
-        if self.state is None:
-            self.state = power_iteration(w64, None, iters=1000, tol=1e-15, seed=seed)
-        else:
-            power_iteration(w64, self.state, iters=_REFRESH_ITERS, tol=1e-15)
-        self.weight = spectral_normalize(w64, self.bound, self.state).astype(dtype, copy=False)
-
-
-def apply_1x1_conv(x: FeatureGrid, w: SpectralLinear) -> FeatureGrid:
-    """Multiply every position's channel vector by the weight matrix.
+def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
+    """Multiply every position's channel vector by the (out, in) weight matrix.
 
     Positions are independent, so the Lipschitz constant of the grid map
     equals the largest singular value of the weight.
     """
     x = as_grid(x)
-    if w.in_dim != x.shape[-3]:
-        raise ValueError(f"conv expects {w.in_dim} channels, grid has {x.shape[-3]}")
-    out = grid_to_matrix(x) @ w.weight.T
+    if w.shape[1] != x.shape[-3]:
+        raise ValueError(f"conv expects {w.shape[1]} channels, grid has {x.shape[-3]}")
+    out = grid_to_matrix(x) @ w.T
     return matrix_to_grid(out, x.shape[-2], x.shape[-1])
 
 
@@ -192,19 +146,22 @@ def apply_1x1_conv(x: FeatureGrid, w: SpectralLinear) -> FeatureGrid:
 class AttentionBlock:
     """Configuration plus weights for one residual attention block.
 
-    Weight roles: ``focus`` is the feature-map conv F; ``embed1``/``embed2``
-    are the pairwise-response embeddings (absent for the gaussian kind);
-    ``pair_scorer`` maps a concatenated embedding pair to a scalar score
-    (concat kind only); ``last`` is the bounded output conv on the residual
-    branch (invertible variant only).
+    Every weight is a plain (out, in) matrix. Roles: ``focus`` is the
+    feature-map conv F; ``embed1``/``embed2`` are the pairwise-response
+    embeddings (absent for the gaussian kind); ``pair_scorer`` maps a
+    concatenated embedding pair to a scalar score (concat kind only);
+    ``last`` is the output conv on the residual branch (invertible variant
+    only). No bound is stored on a weight: in the invertible variant focus
+    and last are meant to have spectral norm at most ``c``, which
+    :func:`build_block` enforces once; the block itself does not re-check it.
     """
 
     kind: str
     variant: str
-    focus: SpectralLinear
-    last: SpectralLinear | None = None
-    embed1: SpectralLinear | None = None
-    embed2: SpectralLinear | None = None
+    focus: np.ndarray
+    last: np.ndarray | None = None
+    embed1: np.ndarray | None = None
+    embed2: np.ndarray | None = None
     pair_scorer: np.ndarray | None = None
     c: float = 0.9
     phi: str = "softplus"
@@ -222,6 +179,10 @@ class AttentionBlock:
             raise ValueError(f"c must be in (0, 1), got {self.c}")
         if not (0.0 < self.column_sum_target <= 1.0):
             raise ValueError(f"column_sum_target must be in (0, 1], got {self.column_sum_target}")
+        self.focus = as_matrix(self.focus)
+        for role in ("last", "embed1", "embed2", "pair_scorer"):
+            if getattr(self, role) is not None:
+                setattr(self, role, as_matrix(getattr(self, role)))
         needs_embed = self.kind != "gaussian"
         if needs_embed and (self.embed1 is None or self.embed2 is None):
             raise ValueError(f"kind {self.kind!r} requires embed1 and embed2")
@@ -230,31 +191,22 @@ class AttentionBlock:
         if self.kind == "concat":
             if self.pair_scorer is None:
                 raise ValueError("concat kind requires a pair_scorer")
-            self.pair_scorer = as_matrix(self.pair_scorer)
-            if self.pair_scorer.shape != (1, 2 * self.embed1.out_dim):
+            if self.pair_scorer.shape != (1, 2 * self.embed1.shape[0]):
                 raise ValueError(
                     f"pair_scorer shape {self.pair_scorer.shape} does not match "
-                    f"(1, {2 * self.embed1.out_dim})"
+                    f"(1, {2 * self.embed1.shape[0]})"
                 )
         elif self.pair_scorer is not None:
             raise ValueError("pair_scorer is only meaningful for the concat kind")
         if self.variant == "invertible":
             if self.last is None:
                 raise ValueError("invertible variant requires the output conv (last)")
-            if self.focus.bound is None or self.last.bound is None:
-                raise ValueError("invertible variant requires bounded focus and last convs")
         elif self.last is not None:
             raise ValueError("noninvertible variant carries no output conv")
 
     @property
     def channels(self) -> int:
-        return self.focus.in_dim
-
-    def normalize_weights(self, seed: int = 0) -> None:
-        """Enforce all spectral bounds; run before any forward fan-out."""
-        for i, w in enumerate((self.focus, self.last, self.embed1, self.embed2)):
-            if w is not None:
-                w.normalize(seed=seed + i)
+        return self.focus.shape[1]
 
 
 def build_block(
@@ -268,32 +220,42 @@ def build_block(
     logit_scale: float = 1.0,
     column_sum_target: float = 1.0,
 ) -> AttentionBlock:
-    """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights,
-    embeddings of width ``max(1, channels // 2)``, and every spectral bound
-    enforced.
+    """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights and
+    embeddings of width ``max(1, channels // 2)``.
 
-    Only the focus and output convs are bounded; the response-path weights
-    (embeddings and pair scorer) stay free, matching the relaxed conditions
-    the invertible variant targets.
+    In the invertible variant the focus and output convs are spectrally
+    normalized to ``c`` here, once: a cold-start power iteration in float64
+    (seed ``seed`` for focus, ``seed + 1`` for last) gives sigma, and a
+    weight with sigma > c is scaled by c/sigma and cast back to ``dtype``.
+    The response-path weights (embeddings and pair scorer) stay free,
+    matching the relaxed conditions the invertible variant targets; a
+    noninvertible block keeps its focus as drawn.
     """
     rng = np.random.default_rng(seed)
-    invertible = variant == "invertible"
 
     def init(out_dim: int, in_dim: int) -> np.ndarray:
         scale = 1.0 / np.sqrt(in_dim)
         return rng.uniform(-scale, scale, size=(out_dim, in_dim)).astype(dtype)
 
-    focus = SpectralLinear(init(channels, channels), bound=c if invertible else None)
-    last = SpectralLinear(init(channels, channels), bound=c) if invertible else None
+    def bounded(w: np.ndarray, power_seed: int) -> np.ndarray:
+        w64 = w.astype(np.float64, copy=False)
+        estimate = power_iteration(w64, iters=1000, tol=1e-15, seed=power_seed)
+        return spectral_normalize(w64, c, estimate).astype(dtype, copy=False)
+
+    focus = init(channels, channels)
+    last = None
+    if variant == "invertible":
+        focus = bounded(focus, seed)
+        last = bounded(init(channels, channels), seed + 1)
     embed1 = embed2 = None
     pair_scorer = None
     if kind != "gaussian":
         width = max(1, channels // 2)
-        embed1 = SpectralLinear(init(width, channels))
-        embed2 = SpectralLinear(init(width, channels))
+        embed1 = init(width, channels)
+        embed2 = init(width, channels)
         if kind == "concat":
             pair_scorer = init(1, 2 * width)
-    block = AttentionBlock(
+    return AttentionBlock(
         kind=kind,
         variant=variant,
         focus=focus,
@@ -306,8 +268,6 @@ def build_block(
         logit_scale=logit_scale,
         column_sum_target=column_sum_target,
     )
-    block.normalize_weights(seed=seed)
-    return block
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +282,8 @@ def pairwise_logits(pos: np.ndarray, block: AttentionBlock) -> np.ndarray:
     if block.kind == "gaussian":
         logits = pos @ pos.swapaxes(-1, -2)
     else:
-        e1 = pos @ block.embed1.weight.T
-        e2 = pos @ block.embed2.weight.T
+        e1 = pos @ block.embed1.T
+        e2 = pos @ block.embed2.T
         if block.kind == "concat":
             row = block.pair_scorer[0]
             half = row.size // 2
@@ -480,43 +440,16 @@ def unsqueeze(x: FeatureGrid) -> FeatureGrid:
 # ---------------------------------------------------------------------------
 
 
-def _weight_to_dict(w: SpectralLinear | None) -> dict | None:
-    if w is None:
-        return None
-    state = None
-    if w.state is not None:
-        state = {
-            "u": w.state.u.tolist(),
-            "v": w.state.v.tolist(),
-            "sigma": w.state.sigma_estimate,
-        }
-    return {
-        "shape": list(w.weight.shape),
-        "bound": w.bound,
-        "data": w.weight.ravel().tolist(),
-        "state": state,
-    }
+def _matrix_to_dict(w: np.ndarray | None) -> dict | None:
+    return None if w is None else {"shape": list(w.shape), "data": w.ravel().tolist()}
 
 
-def _weight_from_dict(d: dict | None, dtype: np.dtype) -> SpectralLinear | None:
-    if d is None:
-        return None
-    weight = np.array(d["data"], dtype=dtype).reshape(d["shape"])
-    state = None
-    if d.get("state") is not None:
-        state = PowerIterState(
-            np.array(d["state"]["u"], dtype=np.float64),
-            np.array(d["state"]["v"], dtype=np.float64),
-            float(d["state"]["sigma"]),
-        )
-    return SpectralLinear(weight, bound=d.get("bound"), state=state)
+def _matrix_from_dict(d: dict | None, dtype: np.dtype) -> np.ndarray | None:
+    return None if d is None else np.array(d["data"], dtype=dtype).reshape(d["shape"])
 
 
 def block_to_dict(block: AttentionBlock) -> dict:
-    precision = "float32" if block.focus.weight.dtype == np.float32 else "float64"
-    pair = None
-    if block.pair_scorer is not None:
-        pair = {"shape": list(block.pair_scorer.shape), "data": block.pair_scorer.ravel().tolist()}
+    precision = "float32" if block.focus.dtype == np.float32 else "float64"
     return {
         "format": BLOCK_FORMAT,
         "version": BLOCK_FORMAT_VERSION,
@@ -527,13 +460,7 @@ def block_to_dict(block: AttentionBlock) -> dict:
         "precision": precision,
         "logit_scale": block.logit_scale,
         "column_sum_target": block.column_sum_target,
-        "weights": {
-            "focus": _weight_to_dict(block.focus),
-            "last": _weight_to_dict(block.last),
-            "embed1": _weight_to_dict(block.embed1),
-            "embed2": _weight_to_dict(block.embed2),
-            "pair_scorer": pair,
-        },
+        "weights": {role: _matrix_to_dict(getattr(block, role)) for role in _WEIGHT_ROLES},
     }
 
 
@@ -543,20 +470,11 @@ def block_from_dict(d: dict) -> AttentionBlock:
     if d.get("version") != BLOCK_FORMAT_VERSION:
         raise ValueError(f"unsupported container version {d.get('version')!r}")
     dtype = np.float32 if d["precision"] == "float32" else np.float64
-    weights = d["weights"]
-    pair = None
-    if weights.get("pair_scorer") is not None:
-        pair = np.array(weights["pair_scorer"]["data"], dtype=dtype).reshape(
-            weights["pair_scorer"]["shape"]
-        )
+    weights = {role: _matrix_from_dict(d["weights"].get(role), dtype) for role in _WEIGHT_ROLES}
     return AttentionBlock(
         kind=d["kind"],
         variant=d["variant"],
-        focus=_weight_from_dict(weights["focus"], dtype),
-        last=_weight_from_dict(weights.get("last"), dtype),
-        embed1=_weight_from_dict(weights.get("embed1"), dtype),
-        embed2=_weight_from_dict(weights.get("embed2"), dtype),
-        pair_scorer=pair,
+        **weights,
         c=float(d["c"]),
         phi=d["phi"],
         logit_scale=float(d["logit_scale"]),

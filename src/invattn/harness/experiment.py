@@ -8,6 +8,7 @@ index-derived seeds, and records merge by (kind, input index).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,8 +93,8 @@ class ExperimentConfig:
             raise ValueError(f"c must be in (0, 1), got {self.c}")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if not self.tol >= 0.0:  # also refuses NaN
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not 0.0 <= self.tol < math.inf:  # also refuses NaN
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.precision not in (32, 64):
             raise ValueError(f"precision must be 32 or 64, got {self.precision}")
         if self.squeeze_levels < 0:
@@ -223,9 +224,9 @@ class KindSummary:
 
 def _scale_weights_inplace(block: AttentionBlock, factor: float) -> None:
     # deliberately applied after normalization: this is the bound-breaking stress
-    block.focus.weight = block.focus.weight * factor
+    block.focus = block.focus * factor
     if block.last is not None:
-        block.last.weight = block.last.weight * factor
+        block.last = block.last * factor
 
 
 def squeeze_levels(x: np.ndarray, levels: int) -> np.ndarray:

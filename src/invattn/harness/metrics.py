@@ -10,6 +10,7 @@ import numpy as np
 
 from .. import kernels
 from ..attention import as_grid
+from ..inversion import mse_0_255
 
 
 def compute_mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -18,8 +19,7 @@ def compute_mse(a: np.ndarray, b: np.ndarray) -> float:
     b = as_grid(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = 255.0 * (a.astype(np.float64) - b.astype(np.float64))
-    return float(np.mean(diff * diff))
+    return mse_0_255(a, b)
 
 
 _DYNAMIC_RANGE = 255.0

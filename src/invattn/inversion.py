@@ -16,6 +16,7 @@ converges or diverges leaves the stack, so the others are unaffected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -46,8 +47,8 @@ class InversionConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.early_stop_tol >= 0.0:  # also refuses NaN
-            raise ValueError(f"early_stop_tol must be >= 0, got {self.early_stop_tol}")
+        if not 0.0 <= self.early_stop_tol < math.inf:  # also refuses NaN
+            raise ValueError(f"early_stop_tol must be finite and >= 0, got {self.early_stop_tol}")
 
 
 @dataclass
@@ -267,8 +268,9 @@ def estimate_lipschitz(
     return LipschitzEstimate(sample_pairs=evaluated, sup_ratio=best, argmax_pair_seed=best_token)
 
 
-def _mse_0_255(a: np.ndarray, b: np.ndarray) -> float:
-    # reconstruction error on the 0-255 RGB scale, as reports promise
+def mse_0_255(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference of two [0, 1] arrays after scaling to 0-255,
+    the scale on which reports state reconstruction error."""
     return float(np.mean((255.0 * (np.asarray(a, dtype=np.float64) - b)) ** 2))
 
 
@@ -308,13 +310,13 @@ def roundtrip(
     except DivergenceError as err:
         return None, _diverged_report(err.iteration)
     if report.images is None:
-        report.reconstruction_mse = _mse_0_255(x, xhat)
+        report.reconstruction_mse = mse_0_255(x, xhat)
         return xhat, report
     for j, r in enumerate(report.images):
         if r.diverged:
             report.images[j] = _diverged_report(r.iterations_used)
         else:
-            r.reconstruction_mse = _mse_0_255(x[j], xhat[j])
+            r.reconstruction_mse = mse_0_255(x[j], xhat[j])
     report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)
     return xhat, report
 

@@ -2,8 +2,7 @@
 LU log-determinant, and the small-matrix exact-SVD oracle.
 
 Matrices are plain 2-D numpy arrays (row-major, float64 by default, float32
-accepted). All functions are pure except :func:`power_iteration`, which
-updates its state in place; a state must be exclusively held while updated.
+accepted). All functions are pure.
 """
 
 from __future__ import annotations
@@ -46,26 +45,12 @@ def norm_frobenius(m: np.ndarray) -> float:
 
 @dataclass
 class PowerIterState:
-    """Persisted power-iteration state: unit vectors and the current estimate.
-
-    ``sigma_estimate`` is the Rayleigh value u'Wv of the stored vectors; it is
-    monotonically non-decreasing across updates on a fixed matrix.
-    """
+    """Result of :func:`power_iteration`: the final unit vectors and the
+    Rayleigh value u'Wv, an estimate of the largest singular value from below."""
 
     u: np.ndarray
     v: np.ndarray
     sigma_estimate: float = 0.0
-
-    def check_shape(self, m: np.ndarray) -> None:
-        rows, cols = m.shape
-        if self.u.shape != (rows,) or self.v.shape != (cols,):
-            raise ValueError(
-                f"power-iteration state for shape {(self.u.shape[0], self.v.shape[0])} "
-                f"does not match matrix shape {m.shape}"
-            )
-
-    def copy(self) -> "PowerIterState":
-        return PowerIterState(self.u.copy(), self.v.copy(), self.sigma_estimate)
 
 
 def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -78,34 +63,28 @@ def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def power_iteration(
     m: np.ndarray,
-    state: PowerIterState | None = None,
     iters: int = 200,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> PowerIterState:
-    """Estimate the largest singular value of ``m`` by alternating matvecs.
+    """Estimate the largest singular value of ``m`` by alternating matvecs
+    from a seeded random unit vector.
 
     Stops early once successive estimates differ by less than ``tol``
-    (``tol = 0`` disables early stopping). Passing a ``state`` warm-starts
-    the iteration and mutates it in place; otherwise the vectors are
-    initialized from a seeded random unit vector.
+    (``tol = 0`` disables early stopping). The same seed, ``iters`` and
+    ``tol`` always give the same iterates.
     """
     a = as_matrix(m).astype(np.float64, copy=False)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rows, cols = a.shape
     rng = np.random.default_rng(seed)
-    if state is None:
-        state = PowerIterState(_random_unit(rows, rng), np.zeros(cols), 0.0)
-    state.check_shape(a)
-
+    u = _random_unit(rows, rng)
+    v = np.zeros(cols)
     if not np.any(a):
-        state.sigma_estimate = 0.0
-        return state
+        return PowerIterState(u, v, 0.0)
 
-    u = state.u.astype(np.float64, copy=True)
-    sigma = state.sigma_estimate
-    v = state.v
+    sigma = 0.0
     for _ in range(iters):
         vt = a.T @ u
         nv = np.linalg.norm(vt)
@@ -124,32 +103,26 @@ def power_iteration(
         sigma = float(nu)
         if abs(sigma - prev) < tol:
             break
-    state.u = u
-    state.v = v
-    state.sigma_estimate = sigma
-    return state
+    return PowerIterState(u, v, sigma)
 
 
 def spectral_normalize(m: np.ndarray, c: float, state: PowerIterState) -> np.ndarray:
     """Rescale ``m`` so its largest singular value is at most ``c``.
 
     Returns ``m * c/sigma`` when ``c/sigma < 1``, otherwise ``m`` unchanged;
-    a zero matrix (sigma = 0) is returned unchanged. ``state`` must describe
-    ``m`` (converged estimate); after scaling, its ``sigma_estimate`` is
-    rescaled so the state describes the returned matrix.
+    a zero matrix (sigma = 0) is returned unchanged. ``state`` is the
+    converged :func:`power_iteration` result for ``m``; only its
+    ``sigma_estimate`` is read.
     """
     a = as_matrix(m)
     if not (0.0 < c <= 1.0):
         raise ValueError(f"Lipschitz target c must be in (0, 1], got {c}")
-    state.check_shape(a)
     sigma = state.sigma_estimate
     if sigma == 0.0:
         return a
     scale = c / sigma
     if scale < 1.0:
-        out = a * a.dtype.type(scale)
-        state.sigma_estimate = sigma * scale
-        return out
+        return a * a.dtype.type(scale)
     return a
 
 

@@ -150,18 +150,18 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target)
     sums = raw.sum(axis=0)
     inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
-    focus_t = block.focus.weight.T
+    focus_t = block.focus.T
     feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
     feat_q = block.column_sum_target * feat_scaled
-    last_t = block.last.weight.T
+    last_t = block.last.T
     ones = np.ones(positions)
     if block.kind == "concat":  # the pair scorer folded into the embeddings
-        half = block.embed1.out_dim
+        half = block.embed1.shape[0]
         scorer = block.pair_scorer[0].astype(np.float64)
-        score1 = block.embed1.weight.T @ scorer[:half]
-        score2 = block.embed2.weight.T @ scorer[half:]
+        score1 = block.embed1.T @ scorer[:half]
+        score2 = block.embed2.T @ scorer[half:]
     elif block.kind != "gaussian":
-        embed1_t, embed2_t = block.embed1.weight.T, block.embed2.weight.T
+        embed1_t, embed2_t = block.embed1.T, block.embed2.T
         e1, e2 = pos @ embed1_t, pos @ embed2_t
 
     def logit_step(dpos: np.ndarray) -> np.ndarray:

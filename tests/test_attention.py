@@ -5,7 +5,6 @@ import pytest
 
 from invattn.attention import (
     AttentionBlock,
-    SpectralLinear,
     apply_1x1_conv,
     apply_phi,
     as_grid,
@@ -26,7 +25,7 @@ from invattn.attention import (
     unsqueeze,
 )
 from invattn.errors import InvariantViolation
-from invattn.linalg import exact_svd_oracle, norm_frobenius, norm_l1
+from invattn.linalg import exact_svd_oracle, norm_frobenius, norm_l1, power_iteration, spectral_normalize
 
 ALL_KINDS = ("gaussian", "embedded", "dot", "concat")
 
@@ -132,34 +131,34 @@ class TestConv:
     def test_identity_weight_is_identity_map(self):
         rng = np.random.default_rng(1)
         x = random_grid(rng, 4)
-        out = apply_1x1_conv(x, SpectralLinear(np.eye(4)))
+        out = apply_1x1_conv(x, np.eye(4))
         assert np.array_equal(out, x)
 
     def test_normalized_double_identity_scales_by_target(self):
         rng = np.random.default_rng(2)
         x = random_grid(rng, 3)
-        w = SpectralLinear(2.0 * np.eye(3), bound=0.9)
-        w.normalize()
+        w = 2.0 * np.eye(3)
+        w = spectral_normalize(w, 0.9, power_iteration(w, iters=1000, tol=1e-15))
         out = apply_1x1_conv(x, w)
         assert np.allclose(out, 0.9 * x, atol=1e-12)
 
     def test_matches_per_position_loop(self):
         rng = np.random.default_rng(3)
         x = random_grid(rng, 4, 3, 3)
-        w = SpectralLinear(rng.standard_normal((4, 4)))
+        w = rng.standard_normal((4, 4))
         out = grid_to_matrix(apply_1x1_conv(x, w))
         mat = grid_to_matrix(x)
         for i in range(mat.shape[0]):
-            assert np.allclose(out[i], w.weight @ mat[i], atol=1e-13)
+            assert np.allclose(out[i], w @ mat[i], atol=1e-13)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
-            apply_1x1_conv(np.zeros((3, 2, 2)), SpectralLinear(np.eye(4)))
+            apply_1x1_conv(np.zeros((3, 2, 2)), np.eye(4))
 
     def test_map_lipschitz_equals_weight_sigma(self):
         rng = np.random.default_rng(4)
-        w = SpectralLinear(rng.standard_normal((3, 3)))
-        sigma = exact_svd_oracle(w.weight)[0]
+        w = rng.standard_normal((3, 3))
+        sigma = exact_svd_oracle(w)[0]
         sup = 0.0
         for _ in range(50):
             a, b = random_grid(rng), random_grid(rng)
@@ -187,9 +186,9 @@ class TestRawResponse:
         block = AttentionBlock(
             kind="dot",
             variant="noninvertible",
-            focus=SpectralLinear(np.eye(4)),
-            embed1=SpectralLinear(eye4.copy()),
-            embed2=SpectralLinear(eye4.copy()),
+            focus=np.eye(4),
+            embed1=eye4.copy(),
+            embed2=eye4.copy(),
         )
         x = matrix_to_grid(np.eye(4), 2, 2)
         assert np.array_equal(raw_response(x, block), np.eye(4))
@@ -200,8 +199,8 @@ class TestRawResponse:
         x = random_grid(rng, 4, 1, 2)  # two positions
         raw = raw_response(x, block)
         mat = grid_to_matrix(x)
-        e1 = mat @ block.embed1.weight.T
-        e2 = mat @ block.embed2.weight.T
+        e1 = mat @ block.embed1.T
+        e2 = mat @ block.embed2.T
         for i in range(2):
             for j in range(2):
                 want = float(block.pair_scorer[0] @ np.concatenate([e1[i], e2[j]]))
@@ -214,8 +213,8 @@ class TestRawResponse:
             block = build_block("embedded", variant, 3, seed=7)
             x = random_grid(rng)
             mat = grid_to_matrix(x)
-            e1 = mat @ block.embed1.weight.T
-            e2 = mat @ block.embed2.weight.T
+            e1 = mat @ block.embed1.T
+            e2 = mat @ block.embed2.T
             naive = np.exp(e1 @ e2.T)
             naive = naive / naive.sum(axis=axis, keepdims=True)
             assert np.allclose(response_map(x, block), naive, atol=1e-12)
@@ -313,10 +312,10 @@ class TestAttentionApply:
         block = AttentionBlock(
             kind="dot",
             variant="invertible",
-            focus=SpectralLinear(eye4.copy(), bound=0.9),
-            last=SpectralLinear(eye4.copy(), bound=0.9),
-            embed1=SpectralLinear(eye4.copy()),
-            embed2=SpectralLinear(eye4.copy()),
+            focus=eye4.copy(),
+            last=eye4.copy(),
+            embed1=eye4.copy(),
+            embed2=eye4.copy(),
             phi="relu",
         )
         x = matrix_to_grid(np.eye(4), 2, 2)
@@ -349,14 +348,14 @@ class TestAttentionApply:
 class TestResidual:
     def test_zero_last_conv_vanishes(self):
         block = build_block("embedded", "invertible", 3, seed=16)
-        block.last.weight = np.zeros_like(block.last.weight)
+        block.last = np.zeros_like(block.last)
         rng = np.random.default_rng(15)
         x = random_grid(rng)
         assert np.array_equal(residual_forward(x, block), x)
 
     def test_zero_focus_vanishes(self):
         block = build_block("gaussian", "invertible", 3, seed=17)
-        block.focus.weight = np.zeros_like(block.focus.weight)
+        block.focus = np.zeros_like(block.focus)
         rng = np.random.default_rng(16)
         x = random_grid(rng)
         assert np.array_equal(residual_forward(x, block), x)
@@ -420,7 +419,7 @@ class TestBlockConstruction:
             AttentionBlock(
                 kind="gaussian",
                 variant="invertible",
-                focus=SpectralLinear(np.eye(3), bound=0.9),
+                focus=np.eye(3),
                 last=None,
             )
 
@@ -429,9 +428,9 @@ class TestBlockConstruction:
             AttentionBlock(
                 kind="gaussian",
                 variant="noninvertible",
-                focus=SpectralLinear(np.eye(3)),
-                embed1=SpectralLinear(np.eye(3)),
-                embed2=SpectralLinear(np.eye(3)),
+                focus=np.eye(3),
+                embed1=np.eye(3),
+                embed2=np.eye(3),
             )
 
     def test_concat_requires_pair_scorer(self):
@@ -439,32 +438,33 @@ class TestBlockConstruction:
             build_block("concat", "invertible", 4, seed=0).__class__(
                 kind="concat",
                 variant="invertible",
-                focus=SpectralLinear(np.eye(4), bound=0.9),
-                last=SpectralLinear(np.eye(4), bound=0.9),
-                embed1=SpectralLinear(np.ones((2, 4))),
-                embed2=SpectralLinear(np.ones((2, 4))),
+                focus=np.eye(4),
+                last=np.eye(4),
+                embed1=np.ones((2, 4)),
+                embed2=np.ones((2, 4)),
             )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_builder_enforces_bounds(self, kind):
-        block = build_block(kind, "invertible", 5, seed=21)
-        assert exact_svd_oracle(block.focus.weight)[0] <= 0.9 + 1e-6
-        assert exact_svd_oracle(block.last.weight)[0] <= 0.9 + 1e-6
+        # the bound follows from variant and c: focus and last are bounded in
+        # the invertible variant, and a noninvertible focus is its init draw
+        for dtype in (np.float64, np.float32):
+            for c in (0.5, 0.9):
+                block = build_block(kind, "invertible", 5, c=c, seed=21, dtype=dtype)
+                assert block.focus.dtype == block.last.dtype == dtype
+                assert exact_svd_oracle(block.focus)[0] <= c + 1e-6
+                assert exact_svd_oracle(block.last)[0] <= c + 1e-6
+                free = build_block(kind, "noninvertible", 5, c=c, seed=21, dtype=dtype)
+                scale = 1.0 / np.sqrt(5)
+                draw = np.random.default_rng(21).uniform(-scale, scale, size=(5, 5)).astype(dtype)
+                assert np.array_equal(free.focus, draw)
+                assert free.last is None
 
     def test_embed_width_default(self):
         block = build_block("embedded", "invertible", 5, seed=22)
-        assert block.embed1.out_dim == 2
+        assert block.embed1.shape[0] == 2
         tiny = build_block("dot", "invertible", 1, seed=23)
-        assert tiny.embed1.out_dim == 1
-
-    def test_renormalization_is_stable(self):
-        rng = np.random.default_rng(21)
-        block = build_block("embedded", "invertible", 3, seed=25)
-        x = random_grid(rng)
-        before = residual_forward(x, block)
-        block.normalize_weights()
-        after = residual_forward(x, block)
-        assert np.abs(after - before).max() <= 1e-12
+        assert tiny.embed1.shape[0] == 1
 
 
 class TestSerialization:
@@ -480,7 +480,7 @@ class TestSerialization:
         assert loaded.c == block.c
         assert loaded.logit_scale == 2.0
         assert loaded.column_sum_target == 0.8
-        assert np.array_equal(loaded.focus.weight, block.focus.weight)
+        assert np.array_equal(loaded.focus, block.focus)
         x = random_grid(rng)
         assert np.array_equal(residual_forward(x, loaded), residual_forward(x, block))
 
@@ -489,8 +489,8 @@ class TestSerialization:
         path = tmp_path / "block.json"
         save_block(block, path)
         loaded = load_block(path)
-        assert loaded.focus.weight.dtype == np.float32
-        assert np.array_equal(loaded.focus.weight, block.focus.weight)
+        assert loaded.focus.dtype == np.float32
+        assert np.array_equal(loaded.focus, block.focus)
 
     def test_format_and_version_checked(self):
         block = build_block("gaussian", "invertible", 3, seed=28)
@@ -498,7 +498,9 @@ class TestSerialization:
         bad = dict(payload, format="something-else")
         with pytest.raises(ValueError):
             block_from_dict(bad)
-        for version in (1, 99):  # version 1 stored an option this version no longer reads
+        # version 1 stored an option, and version 2 per-weight bounds and power-
+        # iteration states, that this version no longer reads
+        for version in (1, 2, 99):
             with pytest.raises(ValueError, match="container version"):
                 block_from_dict(dict(payload, version=version))
 
@@ -508,8 +510,11 @@ class TestSerialization:
         save_block(block, path)
         parsed = json.loads(path.read_text())
         assert parsed["format"] == "invattn-block"
-        assert parsed["version"] == 2
+        assert parsed["version"] == 3
         assert parsed["weights"]["pair_scorer"]["shape"] == [1, 2]
+        for role, matrix in parsed["weights"].items():
+            assert set(matrix) == {"shape", "data"}, role
+            assert len(matrix["data"]) == np.prod(matrix["shape"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -285,12 +286,27 @@ class TestConfigPlumbing:
             {"vscore_floor": 1.5},
             {"precision": 16},
             {"column_sum_target": 0.0},
+            {"tol": math.inf},
         ],
     )
     def test_validation_rejects(self, override):
         cfg = ExperimentConfig(**override)
         with pytest.raises(ValueError):
             cfg.validate()
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark's tracer names library functions by "module:attr"; a
+    # rename in the library would make every traced run fail
+    path = Path(__file__).resolve().parents[1] / "invbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("invbench_bench_trace", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    targets = [*bench_trace.SPANS.values(), *bench_trace.FACTORIES.values(), *bench_trace.COUNTERS.values()]
+    assert targets
+    for target in targets:
+        module_name, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), target
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +569,14 @@ class TestCli:
         assert main(["run", "--variant", "diagonal"]) == EXIT_CONFIG
 
     def test_nan_tol_is_config_error(self, tmp_path):
-        # NaN compares false with every bound: unchecked, each solve stopped
-        # after one step and read as converged
-        out = tmp_path / "out"
-        code = main(["run", "--kind", "embedded", "--size", "8", "--batch", "2",
-                     "--tol", "nan", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert not (out / "records.jsonl").exists()
+        # NaN compares false with every bound, and inf is above every step:
+        # unchecked, each solve stopped after one step and read as converged
+        for tol in ("nan", "inf"):
+            out = tmp_path / tol
+            code = main(["run", "--kind", "embedded", "--size", "8", "--batch", "2",
+                         "--tol", tol, "--workers", "1", "--out", str(out)])
+            assert code == EXIT_CONFIG, tol
+            assert not (out / "records.jsonl").exists(), tol
 
     def test_column_sum_target_refused_before_out_dir_is_made(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -41,7 +41,13 @@ class TestConfig:
         assert report.iterations_used == 37
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_iters": 0}, {"early_stop_tol": -1e-3}, {"early_stop_tol": float("nan")}]
+        "kwargs",
+        [
+            {"max_iters": 0},
+            {"early_stop_tol": -1e-3},
+            {"early_stop_tol": float("nan")},
+            {"early_stop_tol": float("inf")},
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -381,8 +387,8 @@ def test_invertible_branch_empirical_lipschitz_measured():
 class TestRoundtrip:
     def test_zero_weight_block_reconstructs_exactly(self):
         block = build_block("gaussian", "invertible", 3, seed=10)
-        block.focus.weight = np.zeros_like(block.focus.weight)
-        block.last.weight = np.zeros_like(block.last.weight)
+        block.focus = np.zeros_like(block.focus)
+        block.last = np.zeros_like(block.last)
         x = np.random.default_rng(6).uniform(0, 1, (3, 4, 4))
         report = roundtrip_check(x, block)
         assert report.reconstruction_mse == 0.0
