@@ -142,6 +142,21 @@ def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
 # ---------------------------------------------------------------------------
 
 
+def check_settings(kind: str, variant: str, phi: str, c: float, column_sum_target: float) -> None:
+    """Refuse a block setting outside its domain: kind, variant and phi must
+    be known, ``c`` in (0, 1) and ``column_sum_target`` in (0, 1]."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    if phi not in PHI_CHOICES:
+        raise ValueError(f"unknown phi {phi!r}; choose from {PHI_CHOICES}")
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"c must be in (0, 1), got {c}")
+    if not (0.0 < column_sum_target <= 1.0):
+        raise ValueError(f"column_sum_target must be in (0, 1], got {column_sum_target}")
+
+
 @dataclass
 class AttentionBlock:
     """Configuration plus weights for one residual attention block.
@@ -151,9 +166,13 @@ class AttentionBlock:
     embeddings (absent for the gaussian kind); ``pair_scorer`` maps a
     concatenated embedding pair to a scalar score (concat kind only);
     ``last`` is the output conv on the residual branch (invertible variant
-    only). No bound is stored on a weight: in the invertible variant focus
-    and last are meant to have spectral norm at most ``c``, which
-    :func:`build_block` enforces once; the block itself does not re-check it.
+    only). Construction refuses settings outside :func:`check_settings` and
+    weights whose shapes do not fit C = ``focus.shape[1]`` channels: focus
+    and last (C, C), embed1 and embed2 (w, C) of one width w, the pair
+    scorer (1, 2w). No bound is stored on a weight: in the invertible
+    variant focus and last are meant to have spectral norm at most ``c``,
+    which :func:`build_block` enforces once; the block itself does not
+    re-check it.
     """
 
     kind: str
@@ -169,25 +188,28 @@ class AttentionBlock:
     column_sum_target: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; choose from {KINDS}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.phi not in PHI_CHOICES:
-            raise ValueError(f"unknown phi {self.phi!r}; choose from {PHI_CHOICES}")
-        if not (0.0 < self.c < 1.0):
-            raise ValueError(f"c must be in (0, 1), got {self.c}")
-        if not (0.0 < self.column_sum_target <= 1.0):
-            raise ValueError(f"column_sum_target must be in (0, 1], got {self.column_sum_target}")
+        check_settings(self.kind, self.variant, self.phi, self.c, self.column_sum_target)
         self.focus = as_matrix(self.focus)
         for role in ("last", "embed1", "embed2", "pair_scorer"):
             if getattr(self, role) is not None:
                 setattr(self, role, as_matrix(getattr(self, role)))
+        square = (self.channels, self.channels)
+        for role in ("focus", "last"):
+            w = getattr(self, role)
+            if w is not None and w.shape != square:
+                raise ValueError(f"{role} shape {w.shape} is not {square}")
         needs_embed = self.kind != "gaussian"
         if needs_embed and (self.embed1 is None or self.embed2 is None):
             raise ValueError(f"kind {self.kind!r} requires embed1 and embed2")
         if not needs_embed and (self.embed1 is not None or self.embed2 is not None):
             raise ValueError("gaussian kind takes no embedding weights")
+        if needs_embed and not (
+            self.embed1.shape == self.embed2.shape and self.embed1.shape[1] == self.channels
+        ):
+            raise ValueError(
+                f"embed1 shape {self.embed1.shape} and embed2 shape {self.embed2.shape} "
+                f"are not both (w, {self.channels})"
+            )
         if self.kind == "concat":
             if self.pair_scorer is None:
                 raise ValueError("concat kind requires a pair_scorer")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -18,11 +18,10 @@ import numpy as np
 
 from ..attention import (
     KINDS,
-    PHI_CHOICES,
-    VARIANTS,
     AttentionBlock,
     _grids_per_call,
     build_block,
+    check_settings,
     save_block,
     squeeze,
     unsqueeze,
@@ -74,23 +73,16 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
-        for kind in self.kinds:
-            if kind not in KINDS:
-                raise ValueError(f"unknown kind {kind!r}")
         if not self.kinds:
             raise ValueError("at least one kind is required")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.phi not in PHI_CHOICES:
-            raise ValueError(f"unknown phi {self.phi!r}")
+        for kind in self.kinds:
+            check_settings(kind, self.variant, self.phi, self.c, self.column_sum_target)
         if self.image_dir is None and self.synthetic not in SYNTHETIC_SOURCES:
             raise ValueError(f"unknown synthetic source {self.synthetic!r}")
         if not (2 <= self.size <= _MAX_IMAGE_SIZE):
             raise ValueError(f"size must be in [2, {_MAX_IMAGE_SIZE}], got {self.size}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if not (0.0 < self.c < 1.0):
-            raise ValueError(f"c must be in (0, 1), got {self.c}")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if not 0.0 <= self.tol < math.inf:  # also refuses NaN
@@ -109,8 +101,6 @@ class ExperimentConfig:
             raise ValueError("vscore_floor must be in [0, 1]")
         if self.logdet_terms < 1 or self.logdet_samples < 1:
             raise ValueError("logdet_terms and logdet_samples must be >= 1")
-        if not (0.0 < self.column_sum_target <= 1.0):
-            raise ValueError(f"column_sum_target must be in (0, 1], got {self.column_sum_target}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -219,7 +209,6 @@ class KindSummary:
     mean_mse: float
     mean_ssim: float
     v_score: float
-    records: list[dict] = field(default_factory=list)
 
 
 def _scale_weights_inplace(block: AttentionBlock, factor: float) -> None:
@@ -375,7 +364,7 @@ def _aggregate(kind: str, records: list[dict]) -> KindSummary:
     mean_mse = float(np.mean(mses)) if mses else np.inf
     mean_ssim = float(np.mean(ssims)) if ssims else float("nan")
     v_score = float(np.mean([m < _VSCORE_MSE_LIMIT for m in mses])) if mses else 0.0
-    return KindSummary(kind=kind, mean_mse=mean_mse, mean_ssim=mean_ssim, v_score=v_score, records=records)
+    return KindSummary(kind=kind, mean_mse=mean_mse, mean_ssim=mean_ssim, v_score=v_score)
 
 
 def format_summary(summaries: list[KindSummary]) -> str:

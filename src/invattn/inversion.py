@@ -274,17 +274,6 @@ def mse_0_255(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((255.0 * (np.asarray(a, dtype=np.float64) - b)) ** 2))
 
 
-def _diverged_report(iteration: int) -> InversionReport:
-    return InversionReport(
-        iterations_used=iteration,
-        final_residual=np.inf,
-        converged=False,
-        reconstruction_mse=np.inf,
-        diverged=True,
-        trace=None,
-    )
-
-
 def roundtrip(
     x: FeatureGrid,
     block: AttentionBlock,
@@ -292,32 +281,24 @@ def roundtrip(
 ) -> tuple[FeatureGrid | None, InversionReport]:
     """Forward through the block, invert, and measure reconstruction.
 
-    ``x`` is one grid or a stack; a stack is inverted in lockstep (see
-    :func:`fixed_point_invert`), each report in ``report.images`` carries its
-    image's MSE, and the stack report carries the largest. A mid-iteration
-    divergence gives a report with ``diverged=True`` and infinite
-    residual/MSE, as it would for that image alone; the reconstruction of
-    one grid is then None, and a diverged image's slot in a stack is NaN.
-    It is the caller's contract that the block is invertible.
+    ``x`` is one grid or a stack; one grid is solved as a stack of one. The
+    stack is inverted in lockstep (see :func:`fixed_point_invert`), each
+    report in ``report.images`` carries its image's MSE, and the stack
+    report carries the largest. An image that diverges mid-iteration has
+    ``diverged=True``, infinite residual and MSE, and its trace up to the
+    divergence, as it would alone; its slot in a stack is NaN. One grid
+    returns its own reconstruction (None if it diverged) and its image
+    report. It is the caller's contract that the block is invertible.
     """
     x = as_grid(x)
-    z = residual_forward(x, block)
-    branch = make_residual_branch(block)
-    if cfg is None:
-        cfg = InversionConfig()
-    try:
-        xhat, report = fixed_point_invert(z, branch, cfg)
-    except DivergenceError as err:
-        return None, _diverged_report(err.iteration)
-    if report.images is None:
-        report.reconstruction_mse = mse_0_255(x, xhat)
-        return xhat, report
+    single = x.ndim == 3
+    xs = x[None] if single else x
+    xhat, report = fixed_point_invert(residual_forward(xs, block), make_residual_branch(block), cfg)
     for j, r in enumerate(report.images):
-        if r.diverged:
-            report.images[j] = _diverged_report(r.iterations_used)
-        else:
-            r.reconstruction_mse = mse_0_255(x[j], xhat[j])
+        r.reconstruction_mse = math.inf if r.diverged else mse_0_255(xs[j], xhat[j])
     report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)
+    if single:
+        return (None if report.diverged else xhat[0]), report.images[0]
     return xhat, report
 
 

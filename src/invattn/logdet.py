@@ -29,7 +29,6 @@ from .attention import (
     AttentionBlock,
     FeatureGrid,
     _grids_per_call,
-    apply_phi,
     as_grid,
     grid_to_matrix,
     make_residual_branch,
@@ -37,6 +36,7 @@ from .attention import (
     normalize_response,
     pairwise_logits,
     phi_slope,
+    raw_response,
 )
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
@@ -120,9 +120,10 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     one grid ``x``, as a map from a ``(P,) + x.shape`` direction stack to the
     stack of J_g(x) V.
 
-    With logits L, raw = phi(L) (exp(L) for the exponential kinds, whose
-    per-column shift the column normalization cancels), column sums s,
-    R = t raw / s and F = X W_fᵀ, the branch is g = R F W_lᵀ, so for
+    With logits L, raw = phi(L) from :func:`~invattn.attention.raw_response`
+    (exp(L) for the exponential kinds, whose per-column shift the column
+    normalization cancels, so their slope phi'(L) is raw itself), column
+    sums s, R = t raw / s and F = X W_fᵀ, the branch is g = R F W_lᵀ, so for
     q = phi'(L) * dL ``dR = (t q - R colsum(q)) / s`` and
     ``dg = (dR F + R dX W_fᵀ) W_lᵀ``. The division by s is folded into F,
     so dR is never formed. A dead column (sum zero, filled uniform) has
@@ -139,13 +140,8 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     height, width = x.shape[-2:]
     positions = height * width
     pos = grid_to_matrix(x)
-    logits = pairwise_logits(pos, block)
-    if block.kind in _EXP_KINDS:
-        raw = np.exp(logits - logits.max(axis=0, keepdims=True))
-        slope = raw
-    else:
-        raw = apply_phi(logits, block.phi)
-        slope = phi_slope(logits, block.phi)
+    raw = raw_response(x, block)
+    slope = raw if block.kind in _EXP_KINDS else phi_slope(pairwise_logits(pos, block), block.phi)
     slope = slope * block.logit_scale
     resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target)
     sums = raw.sum(axis=0)

@@ -444,6 +444,31 @@ class TestBlockConstruction:
                 embed2=np.ones((2, 4)),
             )
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            dict(kind="gaussian", focus=np.ones((4, 3)), last=np.eye(3)),
+            dict(kind="gaussian", focus=np.eye(3), last=np.eye(4)),
+            dict(kind="gaussian", focus=np.eye(3), last=np.ones((3, 4))),
+            dict(kind="embedded", focus=np.eye(3), last=np.eye(3),
+                 embed1=np.ones((2, 4)), embed2=np.ones((2, 3))),
+            dict(kind="embedded", focus=np.eye(3), last=np.eye(3),
+                 embed1=np.ones((2, 3)), embed2=np.ones((2, 4))),
+            dict(kind="dot", focus=np.eye(3), last=np.eye(3),
+                 embed1=np.ones((2, 3)), embed2=np.ones((1, 3))),
+        ],
+        ids=["focus", "last", "last-rectangular", "embed1", "embed2", "embed-widths"],
+    )
+    def test_weight_shapes_checked(self, weights):
+        with pytest.raises(ValueError, match="shape"):
+            AttentionBlock(variant="invertible", **weights)
+
+    def test_container_with_misshapen_weight_refused(self):
+        payload = block_to_dict(build_block("embedded", "invertible", 3, seed=30))
+        payload["weights"]["last"] = {"shape": [4, 4], "data": np.eye(4).ravel().tolist()}
+        with pytest.raises(ValueError, match="last shape"):
+            block_from_dict(payload)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_builder_enforces_bounds(self, kind):
         # the bound follows from variant and c: focus and last are bounded in

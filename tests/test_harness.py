@@ -287,6 +287,10 @@ class TestConfigPlumbing:
             {"precision": 16},
             {"column_sum_target": 0.0},
             {"tol": math.inf},
+            {"phi": "tanh"},
+            {"c": 1.0},
+            {"kinds": ("gaussian", "nope")},
+            {"kinds": ()},
         ],
     )
     def test_validation_rejects(self, override):
@@ -295,18 +299,59 @@ class TestConfigPlumbing:
             cfg.validate()
 
 
-def test_benchmark_trace_targets_exist():
-    # the benchmark's tracer names library functions by "module:attr"; a
-    # rename in the library would make every traced run fail
+def load_bench_trace():
+    """The benchmark's tracer module, loaded by path from the checkout."""
     path = Path(__file__).resolve().parents[1] / "invbench" / "bench_trace.py"
     spec = importlib.util.spec_from_file_location("invbench_bench_trace", path)
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
+    return bench_trace
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark's tracer names library functions by "module:attr"; a
+    # rename in the library would make every traced run fail
+    bench_trace = load_bench_trace()
     targets = [*bench_trace.SPANS.values(), *bench_trace.FACTORIES.values(), *bench_trace.COUNTERS.values()]
     assert targets
     for target in targets:
         module_name, attr = target.split(":")
         assert callable(getattr(importlib.import_module(module_name), attr, None)), target
+
+
+def test_traced_run_records_every_span_and_matches_untraced(tmp_path):
+    # a traced benchmark run also fails when a span records no call, or when
+    # tracing changes the run's summary
+    bench_trace = load_bench_trace()
+    rng = np.random.default_rng(32)
+    image_dir = tmp_path / "images"
+    image_dir.mkdir()
+    for i in range(2):
+        save_ppm(lattice_grid(rng, (3, 8, 8)), image_dir / f"img{i}.ppm")
+
+    def summary(out: str) -> bytes:
+        cfg = ExperimentConfig(
+            image_dir=str(image_dir),
+            logdet=True,
+            logdet_terms=4,
+            logdet_samples=4,
+            workers=2,
+            out_dir=str(tmp_path / out),
+        )
+        assert run_experiment(cfg) == EXIT_OK
+        return (tmp_path / out / "summary.txt").read_bytes()
+
+    untraced = summary("untraced")
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        traced = summary("traced")
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    table = bench_trace.SpanTable(tracer, workers=2)
+    assert [name for name in bench_trace.SPANS if table.count(name) < 1] == []
+    assert traced == untraced
 
 
 # ---------------------------------------------------------------------------

@@ -186,14 +186,20 @@ class TestStackedSolve:
         _scale_weights_inplace(block, 50.0)
         rng = np.random.default_rng(9)
         images = np.stack([scale * rng.uniform(0.0, 1.0, (3, 6, 6)) for scale in (0.1, 0.5, 1.0)])
-        xhat, report = roundtrip(images, block)
-        solos = [roundtrip(image, block) for image in images]
-        assert all(r.diverged for _, r in solos)
-        assert len({r.iterations_used for _, r in solos}) > 1
-        for j, (x_solo, r_solo) in enumerate(solos):
-            assert x_solo is None and np.isnan(xhat[j]).all()
-            assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
-        assert report.diverged and report.reconstruction_mse == np.inf
+        for record_trace in (False, True):
+            cfg = InversionConfig(record_trace=record_trace)
+            xhat, report = roundtrip(images, block, cfg)
+            solos = [roundtrip(image, block, cfg) for image in images]
+            assert all(r.diverged for _, r in solos)
+            assert len({r.iterations_used for _, r in solos}) > 1
+            for j, (x_solo, r_solo) in enumerate(solos):
+                assert x_solo is None and np.isnan(xhat[j]).all()
+                assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
+                if record_trace:  # a diverged image keeps its trace up to the divergence
+                    assert len(r_solo.trace) == r_solo.iterations_used - 1
+                else:
+                    assert r_solo.trace is None
+            assert report.diverged and report.reconstruction_mse == np.inf
 
     def test_nan_image_leaves_the_others_unchanged(self):
         block, z = spread_stack("embedded", seed=24)
