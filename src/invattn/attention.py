@@ -35,11 +35,18 @@ _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
 BLOCK_FORMAT_VERSION = 3
-# A stacked branch call holds a few (grids, m, m) responses: cap grids * m^2 so
-# that each stays within 4 MB in float64. Past 64 grids the per-call overhead is
-# already spread thin, and a larger stack only adds memory and cache misses.
+# A stacked call of the log-det's linearized branch holds a few (grids, m, m)
+# arrays (its q), and so does a row-normalized (non-invertible gaussian or
+# embedded) branch call: cap grids * m^2 so that each stays within 4 MB in
+# float64. Past 64 grids the per-call overhead is already spread thin, and a
+# larger stack only adds memory and cache misses.
 _STACK_ELEMENTS = 2**19
 _STACK_GRIDS = 64
+# The attention forward sums R[:, J] F[J] over column slabs J of at most this
+# many positions: every grid of up to 16x16 positions is one slab, and m = 1024
+# takes four (m, 256) slabs, which stay in cache where one (m, m) response does
+# not. 32-column slabs lose that gain to per-slab overhead.
+_BLOCK_COLS = 256
 _WEIGHT_ROLES = ("focus", "last", "embed1", "embed2", "pair_scorer")
 
 
@@ -297,15 +304,17 @@ def build_block(
 # ---------------------------------------------------------------------------
 
 
-def pairwise_logits(pos: np.ndarray, block: AttentionBlock) -> np.ndarray:
-    """Scaled m x m logits of a positions-by-channels matrix (or stack):
-    ``pos posᵀ`` for gaussian, ``E1 E2ᵀ`` for embedded and dot, and
-    ``E1 a1 + (E2 a2)ᵀ`` for concat, ``a1, a2`` the halves of the pair scorer."""
+def pairwise_logits(pos: np.ndarray, block: AttentionBlock, cols: slice = slice(None)) -> np.ndarray:
+    """Scaled logits of a positions-by-channels matrix (or stack) against the
+    positions ``cols``, an m x b slab of the m x m logits: ``pos pos[cols]ᵀ``
+    for gaussian, ``E1 E2[cols]ᵀ`` for embedded and dot, and
+    ``E1 a1 + (E2[cols] a2)ᵀ`` for concat, ``a1, a2`` the halves of the pair
+    scorer. The default takes every column."""
     if block.kind == "gaussian":
-        logits = pos @ pos.swapaxes(-1, -2)
+        logits = pos @ pos[..., cols, :].swapaxes(-1, -2)
     else:
         e1 = pos @ block.embed1.T
-        e2 = pos @ block.embed2.T
+        e2 = pos[..., cols, :] @ block.embed2.T
         if block.kind == "concat":
             row = block.pair_scorer[0]
             half = row.size // 2
@@ -319,20 +328,22 @@ def pairwise_logits(pos: np.ndarray, block: AttentionBlock) -> np.ndarray:
     return logits
 
 
-def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
-    """Unnormalized m x m pairwise responses, entry (i, j) = r(x_i, x_j);
-    (B, m, m) for a stack of grids.
+def raw_response(x: FeatureGrid, block: AttentionBlock, cols: slice = slice(None)) -> np.ndarray:
+    """Unnormalized pairwise responses, entry (i, j) = r(x_i, x_j), for every
+    position i and the positions j in ``cols``: the m x m matrix by default,
+    an m x b column slab otherwise; (B, m, b) for a stack of grids.
 
     The exponential kinds subtract the maximum logit along the axis that is
     later normalized (rows for the non-invertible variant, columns for the
     invertible one); the normalized map is unchanged by the shift and the
-    exponentials cannot overflow. Invertible dot/concat scores pass through
-    the nonnegative activation phi.
+    exponentials cannot overflow. The column shift lies within any column
+    slab; the row shift needs every column. Invertible dot/concat scores pass
+    through the nonnegative activation phi.
     """
     x = as_grid(x)
     if x.shape[-3] != block.channels:
         raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
-    logits = pairwise_logits(grid_to_matrix(x), block)
+    logits = pairwise_logits(grid_to_matrix(x), block, cols)
     if block.kind in _EXP_KINDS:
         axis = -2 if block.variant == "invertible" else -1
         return np.exp(logits - logits.max(axis=axis, keepdims=True))
@@ -341,29 +352,40 @@ def raw_response(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
     return logits
 
 
+def _normalizes_rows(kind: str, variant: str) -> bool:
+    """Whether R(x) is normalized by rows (non-invertible gaussian and
+    embedded) rather than column by column."""
+    return variant == "noninvertible" and kind in _EXP_KINDS
+
+
 def normalize_response(
     raw: np.ndarray,
     kind: str,
     variant: str,
     column_sum_target: float = 1.0,
 ) -> np.ndarray:
-    """Normalize raw responses (one m x m matrix or a stack) into R(x).
+    """Normalize raw responses (one m x b matrix or a stack) into R(x), or
+    into the slab of R(x) at those b <= m columns.
 
     Invertible variant: columns scaled to sum to ``column_sum_target`` t
     (1 by default, so the matrix L1 norm is exactly t); a column that sums
-    to zero is filled with t/m. Non-invertible gaussian and embedded rows
-    are scaled to sum to 1, a zero row filled with 1/m; non-invertible
-    dot/concat entries are divided by the position count.
+    to zero is filled with t/m. Non-invertible dot/concat entries are
+    divided by the position count m. Both act on each column alone, so a
+    column slab normalizes as its part of the whole matrix. Non-invertible
+    gaussian and embedded rows are scaled to sum to 1, a zero row filled
+    with 1/m; they need the whole square matrix.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     a = np.asarray(raw)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"response matrix must be square, got {a.shape}")
-    m = a.shape[-1]
-    a = as_matrix(a.reshape(math.prod(a.shape[:-1]), m)).reshape(a.shape)
+    rows_normalized = _normalizes_rows(kind, variant)
+    if a.ndim not in (2, 3) or a.shape[-1] > a.shape[-2] or (rows_normalized and a.shape[-1] != a.shape[-2]):
+        what = "square" if rows_normalized else "an m x b slab with b <= m"
+        raise ValueError(f"response matrix must be {what}, got {a.shape}")
+    m, cols = a.shape[-2:]
+    a = as_matrix(a.reshape(math.prod(a.shape[:-1]), cols)).reshape(a.shape)
     if variant == "invertible":
         if np.any(a < 0):
             raise InvariantViolation("negative raw response under invertible normalization")
@@ -371,7 +393,7 @@ def normalize_response(
         dead = sums == 0.0
         out = a * (column_sum_target / np.where(dead, 1.0, sums))
         fill = column_sum_target / m
-    elif kind in _EXP_KINDS:
+    elif rows_normalized:
         sums = a.sum(axis=-1, keepdims=True)
         dead = sums == 0.0
         out = a / np.where(dead, 1.0, sums)
@@ -394,11 +416,29 @@ def response_map(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
 
 
 def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
-    """A(x) = R(x) F(x), computed in the positions-by-channels view."""
+    """A(x) = R(x) F(x), computed in the positions-by-channels view.
+
+    Summed over column slabs J of at most ``_BLOCK_COLS`` positions as
+    ``R[:, J] F[J]``, so no m x m response is held when m is larger. The sum
+    is exact, with no rescaling between slabs, because each column of R is
+    normalized on its own (see :func:`normalize_response`). The
+    row-normalized responses (non-invertible gaussian and embedded) take one
+    slab of every column.
+    """
     x = as_grid(x)
-    resp = response_map(x, block)
     feat = grid_to_matrix(apply_1x1_conv(x, block.focus))
-    return matrix_to_grid(resp @ feat, x.shape[-2], x.shape[-1])
+    positions = feat.shape[-2]
+    width = positions if _normalizes_rows(block.kind, block.variant) else _BLOCK_COLS
+    out = None
+    for start in range(0, positions, width):
+        cols = slice(start, start + width)
+        resp = normalize_response(raw_response(x, block, cols), block.kind, block.variant, block.column_sum_target)
+        part = resp @ feat[..., cols, :]
+        if out is None:
+            out = part
+        else:
+            out += part
+    return matrix_to_grid(out, x.shape[-2], x.shape[-1])
 
 
 def residual_branch(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
@@ -487,13 +527,18 @@ def block_to_dict(block: AttentionBlock) -> dict:
 
 
 def block_from_dict(d: dict) -> AttentionBlock:
+    """Rebuild a block from :func:`block_to_dict` output. An invertible
+    container whose focus or last has spectral norm above ``c`` (past a
+    1e-6 rounding allowance, from a dense float64 SVD) is refused: only
+    :func:`build_block` bounds the weights, so a container edited or saved
+    after a bound-breaking stress would load as an uncertified block."""
     if d.get("format") != BLOCK_FORMAT:
         raise ValueError(f"not a {BLOCK_FORMAT} container: format={d.get('format')!r}")
     if d.get("version") != BLOCK_FORMAT_VERSION:
         raise ValueError(f"unsupported container version {d.get('version')!r}")
     dtype = np.float32 if d["precision"] == "float32" else np.float64
     weights = {role: _matrix_from_dict(d["weights"].get(role), dtype) for role in _WEIGHT_ROLES}
-    return AttentionBlock(
+    block = AttentionBlock(
         kind=d["kind"],
         variant=d["variant"],
         **weights,
@@ -502,6 +547,12 @@ def block_from_dict(d: dict) -> AttentionBlock:
         logit_scale=float(d["logit_scale"]),
         column_sum_target=float(d["column_sum_target"]),
     )
+    if block.variant == "invertible":
+        for role in ("focus", "last"):
+            sigma = float(np.linalg.norm(getattr(block, role).astype(np.float64), 2))
+            if not sigma <= block.c + 1e-6:
+                raise ValueError(f"{role} has spectral norm {sigma:.6g} above c = {block.c}")
+    return block
 
 
 def save_block(block: AttentionBlock, path: str | Path) -> None:

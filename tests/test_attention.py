@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from invattn import attention
 from invattn.attention import (
+    PHI_CHOICES,
     AttentionBlock,
     apply_1x1_conv,
     apply_phi,
@@ -541,6 +544,31 @@ class TestSerialization:
             assert set(matrix) == {"shape", "data"}, role
             assert len(matrix["data"]) == np.prod(matrix["shape"])
 
+    @pytest.mark.parametrize("role", ["focus", "last"])
+    def test_container_past_the_spectral_bound_refused(self, role):
+        # tripling a bounded weight gives sigma = 2.49 for focus at c = 0.9
+        payload = block_to_dict(build_block("embedded", "invertible", 12, seed=3))
+        weight = payload["weights"][role]
+        weight["data"] = [3.0 * value for value in weight["data"]]
+        with pytest.raises(ValueError, match=f"{role} has spectral norm"):
+            block_from_dict(payload)
+
+    def test_noninvertible_container_keeps_its_free_focus(self):
+        payload = block_to_dict(build_block("dot", "noninvertible", 12, seed=3))
+        payload["weights"]["focus"]["data"] = [3.0 * v for v in payload["weights"]["focus"]["data"]]
+        assert np.linalg.norm(block_from_dict(payload).focus, 2) > 0.9
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channels", [3, 12, 48, 192])
+    def test_every_built_container_loads(self, channels, dtype):
+        # 192 channels (--squeeze 3 at size 64) is past the SVD oracle's limit
+        for seed, kind in enumerate(ALL_KINDS):
+            for c in (0.5, 0.9):
+                block = build_block(kind, "invertible", channels, c=c, seed=seed, dtype=dtype)
+                loaded = block_from_dict(block_to_dict(block))
+                assert np.array_equal(loaded.focus, block.focus)
+                assert np.array_equal(loaded.last, block.last)
+
 
 # ---------------------------------------------------------------------------
 # Response-map invariants across kinds
@@ -630,3 +658,95 @@ def test_normalize_response_stack_matches_loop(kind, variant, options):
     stacked = normalize_response(raw, kind, variant, **options)
     looped = np.stack([normalize_response(r, kind, variant, **options) for r in raw])
     assert np.array_equal(stacked, looped)
+
+
+# ---------------------------------------------------------------------------
+# Column-blocked forward
+# ---------------------------------------------------------------------------
+
+BLOCKED_CONFIGS = {
+    "default": {},
+    "column-target": {"column_sum_target": 0.6},
+    "logit-scale": {"logit_scale": 1.3},
+    "float32": {"dtype": np.float32},
+}
+# the blocked sum only regroups the R F products, so it agrees with the
+# whole-matrix product to a few units in the last place of the dtype
+BLOCKED_GAP = {np.float64: 1e-13, np.float32: 1e-5}
+
+
+def whole_matrix_branch(x, block):
+    """The attention and the branch from the whole m x m response map."""
+    attn = response_map(x, block) @ grid_to_matrix(apply_1x1_conv(x, block.focus))
+    return attn, attn if block.last is None else attn @ block.last.T
+
+
+@pytest.mark.parametrize("config", sorted(BLOCKED_CONFIGS))
+@pytest.mark.parametrize("phi", PHI_CHOICES)
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_blocked_forward_matches_whole_matrix(kind, variant, phi, config, monkeypatch):
+    # 5-column slabs: m = 64 and 81 take 13 and 17 slabs, the last one ragged
+    monkeypatch.setattr(attention, "_BLOCK_COLS", 5)
+    options = BLOCKED_CONFIGS[config]
+    dtype = options.get("dtype", np.float64)
+    block = build_block(kind, variant, 4, seed=40, phi=phi, **options)
+    rng = np.random.default_rng(41)
+    for shape in [(4, 8, 8), (4, 9, 9), (3, 4, 9, 9)]:
+        x = rng.uniform(0.0, 1.0, shape).astype(dtype)
+        want_attn, want_branch = whole_matrix_branch(x, block)
+        attn = grid_to_matrix(attention_apply(x, block))
+        branch = grid_to_matrix(residual_branch(x, block))
+        assert attn.dtype == branch.dtype == dtype
+        assert relative_gap(attn, want_attn) <= BLOCKED_GAP[dtype]
+        assert relative_gap(branch, want_branch) <= BLOCKED_GAP[dtype]
+
+
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_slab_forward_is_the_whole_matrix_product(kind, variant):
+    # at m <= _BLOCK_COLS the forward is one slab of every column: the same
+    # arithmetic as the whole-matrix reference, bit for bit
+    block = build_block(kind, variant, 4, seed=42)
+    rng = np.random.default_rng(43)
+    side = math.isqrt(attention._BLOCK_COLS)
+    for shape in [(4, 9, 9), (3, 4, 9, 9), (4, side, side)]:
+        x = rng.uniform(0.0, 1.0, shape)
+        want_attn, want_branch = whole_matrix_branch(x, block)
+        height, width = shape[-2:]
+        assert np.array_equal(attention_apply(x, block), matrix_to_grid(want_attn, height, width))
+        assert np.array_equal(residual_branch(x, block), matrix_to_grid(want_branch, height, width))
+
+
+def test_blocked_forward_with_forced_zero_columns(monkeypatch):
+    # the relu dead columns of test_stacked_branch_with_a_forced_zero_column,
+    # one in the first slab and one in the ragged last slab (15 = 4 + 4 + 4 + 3)
+    monkeypatch.setattr(attention, "_BLOCK_COLS", 4)
+    block = build_block("dot", "invertible", 4, seed=34, phi="relu")
+    xs = np.random.default_rng(35).uniform(0.0, 1.0, (3, 4, 3, 5))
+    xs[1, :, 0, 0] = 0.0
+    xs[2, :, 2, 4] = 0.0
+    assert np.array_equal(raw_response(xs, block)[2, :, 14], np.zeros(15))
+    _, want = whole_matrix_branch(xs, block)
+    assert relative_gap(grid_to_matrix(residual_branch(xs, block)), want) <= BLOCKED_GAP[np.float64]
+
+
+@pytest.mark.parametrize(
+    "kind, variant",
+    [("gaussian", "invertible"), ("embedded", "invertible"), ("dot", "invertible"),
+     ("concat", "invertible"), ("dot", "noninvertible"), ("concat", "noninvertible")],
+)
+def test_column_slab_normalizes_as_its_part_of_the_whole(kind, variant):
+    raw = np.random.default_rng(44).uniform(0.1, 1.0, (2, 6, 6))
+    raw[1, :, 4] = 0.0  # a dead column, filled with t/m for m = 6 rows
+    whole = normalize_response(raw, kind, variant, column_sum_target=0.6)
+    for cols in (slice(0, 2), slice(2, 5), slice(5, 6)):
+        slab = normalize_response(raw[..., cols], kind, variant, column_sum_target=0.6)
+        assert np.array_equal(slab, whole[..., cols])
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "embedded"])
+def test_row_normalized_response_refuses_a_column_slab(kind):
+    raw = np.ones((6, 6))
+    with pytest.raises(ValueError, match="square"):
+        normalize_response(raw[:, :3], kind, "noninvertible")

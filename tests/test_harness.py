@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -299,13 +300,19 @@ class TestConfigPlumbing:
             cfg.validate()
 
 
+def load_bench_module(name):
+    """One of the benchmark's modules, loaded by path from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "invbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"invbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_bench_trace():
-    """The benchmark's tracer module, loaded by path from the checkout."""
-    path = Path(__file__).resolve().parents[1] / "invbench" / "bench_trace.py"
-    spec = importlib.util.spec_from_file_location("invbench_bench_trace", path)
-    bench_trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_trace)
-    return bench_trace
+    """The benchmark's tracer module."""
+    return load_bench_module("bench_trace")
 
 
 def test_benchmark_trace_targets_exist():
@@ -351,6 +358,41 @@ def test_traced_run_records_every_span_and_matches_untraced(tmp_path):
     assert tracer.missing == []
     table = bench_trace.SpanTable(tracer, workers=2)
     assert [name for name in bench_trace.SPANS if table.count(name) < 1] == []
+    assert traced == untraced
+
+
+def test_traced_blocked_run_records_every_span_and_matches_untraced(tmp_path, monkeypatch):
+    # at m = 256 over 64-column slabs each branch call takes 4 slabs, as the
+    # benchmark's m = 1024 workload does over 256-column slabs: the spans of a
+    # run without a log-det must all still fire, and tracing must not change
+    # the summary
+    monkeypatch.setattr(attention, "_BLOCK_COLS", 64)
+    bench_trace = load_bench_trace()
+    monkeypatch.setitem(sys.modules, "bench_trace", bench_trace)
+    logdet_spans = load_bench_module("bench_workloads").LOGDET_SPANS
+    rng = np.random.default_rng(37)
+    image_dir = tmp_path / "images"
+    image_dir.mkdir()
+    for i in range(2):
+        save_ppm(lattice_grid(rng, (3, 32, 32)), image_dir / f"img{i}.ppm")
+
+    def summary(out: str) -> bytes:
+        cfg = ExperimentConfig(image_dir=str(image_dir), squeeze_levels=1, workers=2, out_dir=str(tmp_path / out))
+        assert run_experiment(cfg) == EXIT_OK
+        return (tmp_path / out / "summary.txt").read_bytes()
+
+    untraced = summary("untraced")
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        traced = summary("traced")
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    table = bench_trace.SpanTable(tracer, workers=2)
+    spans = [name for name in bench_trace.SPANS if name not in logdet_spans]
+    assert [name for name in spans if table.count(name) < 1] == []
+    assert table.count("attention.raw_response") == 4 * table.count("attention.branch")
     assert traced == untraced
 
 
