@@ -12,6 +12,7 @@ from .attention import (
     apply_1x1_conv,
     attention_apply,
     build_block,
+    linearize,
     load_block,
     make_residual_branch,
     normalize_response,
@@ -48,7 +49,6 @@ from .logdet import (
     brute_force_logdet,
     brute_force_logdet_from_branch,
     jvp,
-    linearize,
     logdet_series,
     logdet_series_from_branch,
 )

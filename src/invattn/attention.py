@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,11 +36,11 @@ _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
 BLOCK_FORMAT_VERSION = 3
-# A stacked call of the log-det's linearized branch holds a few (grids, m, m)
-# arrays (its q), and so does a row-normalized (non-invertible gaussian or
-# embedded) branch call: cap grids * m^2 so that each stays within 4 MB in
-# float64. Past 64 grids the per-call overhead is already spread thin, and a
-# larger stack only adds memory and cache misses.
+# A stacked apply of :func:`linearize` holds a few (grids, m, m) arrays (its
+# q), and so does a row-normalized (non-invertible gaussian or embedded)
+# branch call: cap grids * m^2 so that each stays within 4 MB in float64.
+# Past 64 grids the per-call overhead is already spread thin, and a larger
+# stack only adds memory and cache misses.
 _STACK_ELEMENTS = 2**19
 _STACK_GRIDS = 64
 # The attention forward sums R[:, J] F[J] over column slabs J of at most this
@@ -48,6 +49,8 @@ _STACK_GRIDS = 64
 # not. 32-column slabs lose that gain to per-slab overhead.
 _BLOCK_COLS = 256
 _WEIGHT_ROLES = ("focus", "last", "embed1", "embed2", "pair_scorer")
+_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "precision", "logit_scale",
+                   "column_sum_target", "weights")
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +89,24 @@ def matrix_to_grid(mat: np.ndarray, height: int, width: int) -> FeatureGrid:
 
 def _grids_per_call(shape: tuple[int, ...]) -> int:
     """How many grids of ``shape`` (height and width last) one stacked branch
-    call may take; the log-det probes, the dense oracle and the experiment's
-    image stacks all keep to it."""
+    call or linearized apply may take; :func:`_in_stacks` (the log-det's
+    probes and dense oracle) and the experiment's image stacks keep to it."""
     positions = shape[-2] * shape[-1]
     return max(1, min(_STACK_GRIDS, _STACK_ELEMENTS // positions**2))
+
+
+def _in_stacks(step, v: np.ndarray, shape: tuple[int, ...], source: str) -> np.ndarray:
+    """``step`` over a ``(P,) + shape`` direction stack ``v`` in stacks of at
+    most :func:`_grids_per_call` grids (one direction of ``shape`` whole);
+    non-finite output raises :class:`FloatingPointError` naming ``source``."""
+    chunk = v.shape[0] if v.shape == shape else _grids_per_call(shape)
+    outs = []
+    for start in range(0, v.shape[0], chunk):
+        out = step(v[start : start + chunk])
+        if not np.isfinite(out).all():
+            raise FloatingPointError(f"non-finite values from {source}")
+        outs.append(out)
+    return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +333,8 @@ def pairwise_logits(pos: np.ndarray, block: AttentionBlock, cols: slice = slice(
         e1 = pos @ block.embed1.T
         e2 = pos[..., cols, :] @ block.embed2.T
         if block.kind == "concat":
-            row = block.pair_scorer[0]
-            half = row.size // 2
-            left = e1 @ row[:half]
-            right = e2 @ row[half:]
-            logits = left[..., :, None] + right[..., None, :]
+            a1, a2 = np.split(block.pair_scorer[0], 2)
+            logits = (e1 @ a1)[..., :, None] + (e2 @ a2)[..., None, :]
         else:
             logits = e1 @ e2.swapaxes(-1, -2)
     if block.logit_scale != 1.0:
@@ -343,7 +357,11 @@ def raw_response(x: FeatureGrid, block: AttentionBlock, cols: slice = slice(None
     x = as_grid(x)
     if x.shape[-3] != block.channels:
         raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
-    logits = pairwise_logits(grid_to_matrix(x), block, cols)
+    return _activate(pairwise_logits(grid_to_matrix(x), block, cols), block)
+
+
+def _activate(logits: np.ndarray, block: AttentionBlock) -> np.ndarray:
+    """Raw responses from logits: the shifted exp or phi of :func:`raw_response`."""
     if block.kind in _EXP_KINDS:
         axis = -2 if block.variant == "invertible" else -1
         return np.exp(logits - logits.max(axis=axis, keepdims=True))
@@ -449,6 +467,73 @@ def residual_branch(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
     return out
 
 
+def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact Jacobian J_g(x) of an invertible-variant block's branch at
+    one grid ``x``, as a map from a ``(P,) + x.shape`` direction stack to the
+    stack of J_g(x) V.
+
+    The logits L are evaluated once, and raw = phi(L) as in
+    :func:`raw_response` (exp(L) for the exp kinds, whose column shift the
+    normalization cancels, so their slope phi'(L) is raw itself). Every
+    kind's logit step is ``dL = dX Pᵀ + Q dXᵀ``, with E1, E2 the embeddings
+    and a1, a2 the pair scorer's halves:
+
+        kind           P                    Q
+        gaussian       X                    X
+        embedded, dot  E2 W1                E1 W2
+        concat         constant rows W1ᵀa1  constant rows W2ᵀa2
+
+    With column sums s, R = t raw / s and F = X W_fᵀ, the branch is
+    g = R F W_lᵀ; so for q = logit_scale phi'(L) * dL,
+    ``dR = (t q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``,
+    with 1/s folded into F so that dR is never formed. A dead column (sum
+    zero, filled uniform) has zero derivative; relu has slope 0 at 0. Each
+    call splits its stack with :func:`_in_stacks`; all is in float64.
+    """
+    if block.variant != "invertible":
+        raise ValueError("linearize requires an invertible-variant block")
+    x = as_grid(x).astype(np.float64, copy=False)
+    if x.ndim != 3:
+        raise ValueError(f"linearize takes one (C, H, W) grid, got shape {x.shape}")
+    if x.shape[0] != block.channels:
+        raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[0]}")
+    height, width = x.shape[-2:]
+    pos = grid_to_matrix(x)
+    logits = pairwise_logits(pos, block)
+    raw = _activate(logits, block)
+    slope = (raw if block.kind in _EXP_KINDS else phi_slope(logits, block.phi)) * block.logit_scale
+    resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target)
+    sums = raw.sum(axis=0)
+    inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
+    focus_t = block.focus.T
+    feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
+    feat_q = block.column_sum_target * feat_scaled
+    ones = np.ones(height * width)
+    if block.kind == "gaussian":
+        p_rows = q_rows = pos
+    elif block.kind == "concat":  # float64 before the product, for float32 blocks
+        a1, a2 = np.split(block.pair_scorer[0].astype(np.float64), 2)
+        p_rows, q_rows = np.outer(ones, block.embed1.T @ a1), np.outer(ones, block.embed2.T @ a2)
+    else:
+        p_rows, q_rows = (pos @ block.embed2.T) @ block.embed1, (pos @ block.embed1.T) @ block.embed2
+
+    def step(v: np.ndarray) -> np.ndarray:
+        dpos = grid_to_matrix(v)
+        q = slope * (dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2))
+        q_sums = ones @ q  # column sums, (P, m)
+        # dR F + R dF = q (t F / s) + R (dF - colsum(q) F / s)
+        d_attn = q @ feat_q + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
+        return matrix_to_grid(d_attn @ block.last.T, height, width)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape[1:] != x.shape:
+            raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")
+        return _in_stacks(step, v, x.shape, "the linearized branch")
+
+    return apply
+
+
 def residual_forward(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
     """f(x) = x + g(x)."""
     x = as_grid(x)
@@ -527,16 +612,23 @@ def block_to_dict(block: AttentionBlock) -> dict:
 
 
 def block_from_dict(d: dict) -> AttentionBlock:
-    """Rebuild a block from :func:`block_to_dict` output. An invertible
-    container whose focus or last has spectral norm above ``c`` (past a
-    1e-6 rounding allowance, from a dense float64 SVD) is refused: only
-    :func:`build_block` bounds the weights, so a container edited or saved
-    after a bound-breaking stress would load as an uncertified block."""
-    if d.get("format") != BLOCK_FORMAT:
-        raise ValueError(f"not a {BLOCK_FORMAT} container: format={d.get('format')!r}")
-    if d.get("version") != BLOCK_FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {d.get('version')!r}")
-    dtype = np.float32 if d["precision"] == "float32" else np.float64
+    """Rebuild a block from :func:`block_to_dict` output. A container that
+    lacks a key it writes, or has a precision other than float32 or float64,
+    is refused by name. So is an invertible container whose focus or last
+    has spectral norm above ``c`` (past a 1e-6 rounding allowance, from a
+    dense float64 SVD): only :func:`build_block` bounds the weights, so a
+    container edited or saved after a bound-breaking stress would load as
+    an uncertified block."""
+    for key in _CONTAINER_KEYS:
+        if key not in d:
+            raise ValueError(f"block container lacks the key {key!r}")
+    if d["format"] != BLOCK_FORMAT:
+        raise ValueError(f"not a {BLOCK_FORMAT} container: format={d['format']!r}")
+    if d["version"] != BLOCK_FORMAT_VERSION:
+        raise ValueError(f"unsupported container version {d['version']!r}")
+    if d["precision"] not in ("float32", "float64"):
+        raise ValueError(f"unsupported container precision {d['precision']!r}; choose float32 or float64")
+    dtype = np.dtype(d["precision"])
     weights = {role: _matrix_from_dict(d["weights"].get(role), dtype) for role in _WEIGHT_ROLES}
     block = AttentionBlock(
         kind=d["kind"],

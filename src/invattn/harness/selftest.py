@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import linalg
-from ..attention import KINDS, build_block, make_residual_branch, response_map
+from ..attention import KINDS, build_block, linearize, make_residual_branch, response_map
 from ..inversion import InversionConfig, roundtrip_check
-from ..logdet import LogDetConfig, jvp, linearize, logdet_series_from_branch
+from ..logdet import LogDetConfig, jvp, logdet_series_from_branch
 from .ppm import load_ppm, save_ppm
 
 EXIT_INVARIANT = 2

@@ -3,15 +3,15 @@
 For f(x) = x + g(x) with a contractive branch, ln|det J_f| equals the
 alternating power series sum_k (-1)^(k+1) tr(J_g^k)/k. Traces are estimated
 stochastically with Hutchinson probes, and no autodiff is involved. For an
-attention block the series applies :func:`linearize`, the exact J_g(x) built
-once at x from the closed form of the branch's derivative. :func:`jvp`, the
-one central finite difference, is the independent reference: the dense
-oracle, :func:`logdet_series_from_branch` (any branch callable) and the
-Lipschitz local probes use it. All probes advance in lockstep: each series
-step applies J_g to the whole stack of probe directions, in stacks of at
-most :func:`_grids_per_call` grids. The exact oracle, up to
-:data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, the columns of J_g being
-one JVP along the unit vectors.
+attention block the series applies the exact J_g(x) of
+:func:`~invattn.attention.linearize`, which lives beside the branch it
+differentiates: this module holds no per-kind code. :func:`jvp`, the one
+central finite difference, is the independent reference: the dense oracle,
+:func:`logdet_series_from_branch` (any branch callable) and the Lipschitz
+local probes use it. All probes advance in lockstep, each series step one
+J_g over the whole probe stack, split by ``attention._in_stacks``. The
+exact oracle, up to :data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, the
+columns of J_g being one JVP along the unit vectors.
 
 Every branch callable passed here must map a (B, C, H, W) stack of grids
 to the stack of its per-grid outputs, as well as one (C, H, W) grid.
@@ -24,20 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import (
-    _EXP_KINDS,
-    AttentionBlock,
-    FeatureGrid,
-    _grids_per_call,
-    as_grid,
-    grid_to_matrix,
-    make_residual_branch,
-    matrix_to_grid,
-    normalize_response,
-    pairwise_logits,
-    phi_slope,
-    raw_response,
-)
+from .attention import AttentionBlock, FeatureGrid, _in_stacks, as_grid, linearize, make_residual_branch
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
 
@@ -91,9 +78,9 @@ def jvp(
 
     ``v`` is one direction of ``x.shape`` (one call of ``g`` on a grid per
     side) or a stack of them of shape ``(P,) + x.shape``, which goes to ``g``
-    in stacks of at most :func:`_grids_per_call` perturbed grids. Exact for
-    linear maps; O(eps^2) truncation error otherwise. Non-finite output of
-    ``g`` raises :class:`FloatingPointError`.
+    in the stacks of ``attention._in_stacks``, as the linearized apply is.
+    Exact for linear maps; O(eps^2) truncation error otherwise. Non-finite
+    output of ``g`` raises :class:`FloatingPointError`.
     """
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
@@ -103,90 +90,12 @@ def jvp(
         raise ValueError(f"direction shape {v.shape} does not match input shape {x.shape}")
     if not np.isfinite(v).all():
         raise ValueError("direction contains non-finite entries")
-    chunk = v.shape[0] if v.shape == x.shape else _grids_per_call(x.shape)
-    diffs = []
-    for start in range(0, v.shape[0], chunk):
-        step = eps * v[start : start + chunk]
-        plus = g(x + step)
-        minus = g(x - step)
-        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-            raise FloatingPointError(f"non-finite values from g during JVP (eps={eps})")
-        diffs.append((plus - minus) / (2.0 * eps))
-    return diffs[0] if len(diffs) == 1 else np.concatenate(diffs)
 
+    def central(directions: np.ndarray) -> np.ndarray:
+        step = eps * directions
+        return (g(x + step) - g(x - step)) / (2.0 * eps)
 
-def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact Jacobian J_g(x) of an invertible-variant block's branch at
-    one grid ``x``, as a map from a ``(P,) + x.shape`` direction stack to the
-    stack of J_g(x) V.
-
-    With logits L, raw = phi(L) from :func:`~invattn.attention.raw_response`
-    (exp(L) for the exponential kinds, whose per-column shift the column
-    normalization cancels, so their slope phi'(L) is raw itself), column
-    sums s, R = t raw / s and F = X W_fᵀ, the branch is g = R F W_lᵀ, so for
-    q = phi'(L) * dL ``dR = (t q - R colsum(q)) / s`` and
-    ``dg = (dR F + R dX W_fᵀ) W_lᵀ``. The division by s is folded into F,
-    so dR is never formed. A dead column (sum zero, filled uniform) has
-    zero derivative; relu has slope 0 at 0. The pieces are
-    computed once here, in float64; each call splits its stack under
-    :func:`_grids_per_call`, and non-finite output raises
-    :class:`FloatingPointError`.
-    """
-    if block.variant != "invertible":
-        raise ValueError("linearize requires an invertible-variant block")
-    x = as_grid(x).astype(np.float64, copy=False)
-    if x.ndim != 3:
-        raise ValueError(f"linearize takes one (C, H, W) grid, got shape {x.shape}")
-    height, width = x.shape[-2:]
-    positions = height * width
-    pos = grid_to_matrix(x)
-    raw = raw_response(x, block)
-    slope = raw if block.kind in _EXP_KINDS else phi_slope(pairwise_logits(pos, block), block.phi)
-    slope = slope * block.logit_scale
-    resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target)
-    sums = raw.sum(axis=0)
-    inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
-    focus_t = block.focus.T
-    feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
-    feat_q = block.column_sum_target * feat_scaled
-    last_t = block.last.T
-    ones = np.ones(positions)
-    if block.kind == "concat":  # the pair scorer folded into the embeddings
-        half = block.embed1.shape[0]
-        scorer = block.pair_scorer[0].astype(np.float64)
-        score1 = block.embed1.T @ scorer[:half]
-        score2 = block.embed2.T @ scorer[half:]
-    elif block.kind != "gaussian":
-        embed1_t, embed2_t = block.embed1.T, block.embed2.T
-        e1, e2 = pos @ embed1_t, pos @ embed2_t
-
-    def logit_step(dpos: np.ndarray) -> np.ndarray:
-        if block.kind == "gaussian":
-            half_step = dpos @ pos.T
-            return half_step + half_step.swapaxes(-1, -2)
-        if block.kind == "concat":
-            return (dpos @ score1)[..., :, None] + (dpos @ score2)[..., None, :]
-        return (dpos @ embed1_t) @ e2.T + e1 @ (dpos @ embed2_t).swapaxes(-1, -2)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[1:] != x.shape:
-            raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")
-        chunk = _grids_per_call(x.shape)
-        outs = []
-        for start in range(0, v.shape[0], chunk):
-            dpos = grid_to_matrix(v[start : start + chunk])
-            q = slope * logit_step(dpos)
-            q_sums = ones @ q  # column sums, (P, m)
-            # dR F + R dF = q (t F / s) + R (dF - colsum(q) F / s)
-            d_attn = q @ feat_q + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
-            out = d_attn @ last_t
-            if not np.isfinite(out).all():
-                raise FloatingPointError("non-finite values from the linearized branch")
-            outs.append(matrix_to_grid(out, height, width))
-        return outs[0] if len(outs) == 1 else np.concatenate(outs)
-
-    return apply
+    return _in_stacks(central, v, x.shape, f"g during JVP (eps={eps})")
 
 
 def _probe_trace_samples(
@@ -264,10 +173,8 @@ def logdet_series_from_branch(
     probes. Valid when the branch Jacobian has spectral norm below 1; the
     per-term trail lets callers audit decay.
     """
-    if cfg is None:
-        cfg = LogDetConfig()
     x = as_grid(x)
-    return _series_estimate(lambda v: jvp(branch, x, v, FD_STEP), x.shape, cfg)
+    return _series_estimate(lambda v: jvp(branch, x, v, FD_STEP), x.shape, cfg or LogDetConfig())
 
 
 def logdet_series(
@@ -277,9 +184,8 @@ def logdet_series(
 ) -> LogDetEstimate:
     """Series estimate for an invertible-variant attention block at ``x``:
     the probes of :func:`logdet_series_from_branch`, each step applying
-    :func:`linearize` instead of a finite difference."""
-    if block.variant != "invertible":
-        raise ValueError("logdet_series requires an invertible-variant block")
+    :func:`linearize` (which refuses any other variant) instead of a finite
+    difference."""
     x = as_grid(x)
     return _series_estimate(linearize(block, x), x.shape, cfg or LogDetConfig())
 

@@ -532,6 +532,18 @@ class TestSerialization:
             with pytest.raises(ValueError, match="container version"):
                 block_from_dict(dict(payload, version=version))
 
+    def test_unknown_precision_refused(self):
+        payload = block_to_dict(build_block("dot", "invertible", 3, seed=27))
+        with pytest.raises(ValueError, match="precision 'float16'"):
+            block_from_dict(dict(payload, precision="float16"))
+
+    @pytest.mark.parametrize("key", list(block_to_dict(build_block("concat", "invertible", 3))))
+    def test_container_missing_a_key_refused(self, key):
+        payload = block_to_dict(build_block("concat", "invertible", 3, seed=27))
+        del payload[key]
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            block_from_dict(payload)
+
     def test_container_is_plain_json(self, tmp_path):
         block = build_block("concat", "invertible", 3, seed=29)
         path = tmp_path / "block.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -208,16 +210,49 @@ class TestLinearize:
         apply = linearize(block, x)
         whole = apply(directions)
         chunks = []
-        to_grid = logdet.matrix_to_grid
+        to_grid = attention.matrix_to_grid
 
         def counting(mat, height, width):
             chunks.append(mat.shape[0])
             return to_grid(mat, height, width)
 
-        monkeypatch.setattr(logdet, "matrix_to_grid", counting)
+        monkeypatch.setattr(attention, "matrix_to_grid", counting)
         monkeypatch.setattr(attention, "_STACK_ELEMENTS", 3 * 16**2)  # 3 grids per stack
         assert np.array_equal(apply(directions), whole)
         assert chunks == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("config", [name for name in LINEARIZE_CONFIGS if name != "float32"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_float32_block_linearized_in_float64(self, kind, config):
+        # the float32 weights enter every product as exact float64 values, so
+        # the same weights cast to float64 give the same Jacobian
+        block = build_block(kind, "invertible", 4, seed=57, dtype=np.float32, **LINEARIZE_CONFIGS[config])
+        roles = [role for role in attention._WEIGHT_ROLES if getattr(block, role) is not None]
+        wide = dataclasses.replace(block, **{role: getattr(block, role).astype(np.float64) for role in roles})
+        rng = np.random.default_rng(58)
+        x = rng.uniform(0.0, 1.0, (4, 3, 5)).astype(np.float32)
+        directions = rng.standard_normal((6, 4, 3, 5))
+        exact, reference = linearize(block, x)(directions), linearize(wide, x)(directions)
+        assert np.abs(exact - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_logits_evaluated_once(self, kind, monkeypatch):
+        block = build_block(kind, "invertible", 3, seed=59)
+        rng = np.random.default_rng(60)
+        x = rng.uniform(0.0, 1.0, (3, 4, 4))
+        calls = []
+        logits = attention.pairwise_logits
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return logits(*args, **kwargs)
+
+        for module in {attention, sys.modules[linearize.__module__]}:  # wherever linearize lives
+            monkeypatch.setattr(module, "pairwise_logits", counting)
+        apply = linearize(block, x)
+        assert len(calls) == 1
+        apply(rng.standard_normal((2, 3, 4, 4)))
+        assert len(calls) == 1
 
     def test_validation(self):
         block = build_block("concat", "invertible", 3, seed=55)
