@@ -24,7 +24,7 @@ from .attention import (
     squeeze,
     unsqueeze,
 )
-from .errors import DivergenceError, InvariantViolation, PpmParseError
+from .errors import InvariantViolation, PpmParseError
 from .inversion import (
     InversionConfig,
     InversionReport,

@@ -95,11 +95,11 @@ def _grids_per_call(shape: tuple[int, ...]) -> int:
     return max(1, min(_STACK_GRIDS, _STACK_ELEMENTS // positions**2))
 
 
-def _in_stacks(step, v: np.ndarray, shape: tuple[int, ...], source: str) -> np.ndarray:
-    """``step`` over a ``(P,) + shape`` direction stack ``v`` in stacks of at
-    most :func:`_grids_per_call` grids (one direction of ``shape`` whole);
-    non-finite output raises :class:`FloatingPointError` naming ``source``."""
-    chunk = v.shape[0] if v.shape == shape else _grids_per_call(shape)
+def _in_stacks(step, v: np.ndarray, source: str) -> np.ndarray:
+    """``step`` over a ``(P, C, H, W)`` direction stack ``v`` in stacks of at
+    most :func:`_grids_per_call` grids of ``v``'s grid shape; non-finite
+    output raises :class:`FloatingPointError` naming ``source``."""
+    chunk = _grids_per_call(v.shape)
     outs = []
     for start in range(0, v.shape[0], chunk):
         out = step(v[start : start + chunk])
@@ -529,7 +529,7 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
         v = np.asarray(v, dtype=np.float64)
         if v.shape[1:] != x.shape:
             raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")
-        return _in_stacks(step, v, x.shape, "the linearized branch")
+        return _in_stacks(step, v, "the linearized branch")
 
     return apply
 
@@ -591,8 +591,25 @@ def _matrix_to_dict(w: np.ndarray | None) -> dict | None:
     return None if w is None else {"shape": list(w.shape), "data": w.ravel().tolist()}
 
 
-def _matrix_from_dict(d: dict | None, dtype: np.dtype) -> np.ndarray | None:
-    return None if d is None else np.array(d["data"], dtype=dtype).reshape(d["shape"])
+def _matrix_from_dict(role: str, d: object, dtype: np.dtype) -> np.ndarray | None:
+    """One weight entry; a malformed entry is refused by its role and key."""
+    if d is None:
+        return None
+    if not isinstance(d, dict):
+        raise ValueError(f"weight {role!r} is not a mapping with 'shape' and 'data'")
+    for key in ("shape", "data"):
+        if not isinstance(d.get(key), list):
+            raise ValueError(f"weight {role!r} lacks a list under the key {key!r}")
+    try:
+        data = np.array(d["data"], dtype=dtype)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"weight {role!r} has malformed 'data': {err}") from None
+    try:
+        if len(d["shape"]) == 2:
+            return data.reshape(d["shape"])
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"weight {role!r} has a 'shape' {d['shape']!r} that is not the 2-D shape of its 'data'")
 
 
 def block_to_dict(block: AttentionBlock) -> dict:
@@ -613,12 +630,13 @@ def block_to_dict(block: AttentionBlock) -> dict:
 
 def block_from_dict(d: dict) -> AttentionBlock:
     """Rebuild a block from :func:`block_to_dict` output. A container that
-    lacks a key it writes, or has a precision other than float32 or float64,
-    is refused by name. So is an invertible container whose focus or last
-    has spectral norm above ``c`` (past a 1e-6 rounding allowance, from a
-    dense float64 SVD): only :func:`build_block` bounds the weights, so a
-    container edited or saved after a bound-breaking stress would load as
-    an uncertified block."""
+    lacks a key it writes, has a precision other than float32 or float64, or
+    has a malformed ``weights`` mapping or weight entry, is refused by name.
+    So is an invertible container whose focus or last has spectral norm
+    above ``c`` (past a 1e-6 rounding allowance, from a dense float64 SVD):
+    only :func:`build_block` bounds the weights, so a container edited or
+    saved after a bound-breaking stress would load as an uncertified
+    block."""
     for key in _CONTAINER_KEYS:
         if key not in d:
             raise ValueError(f"block container lacks the key {key!r}")
@@ -628,8 +646,10 @@ def block_from_dict(d: dict) -> AttentionBlock:
         raise ValueError(f"unsupported container version {d['version']!r}")
     if d["precision"] not in ("float32", "float64"):
         raise ValueError(f"unsupported container precision {d['precision']!r}; choose float32 or float64")
+    if not isinstance(d["weights"], dict):
+        raise ValueError("block container 'weights' is not a mapping of role to matrix")
     dtype = np.dtype(d["precision"])
-    weights = {role: _matrix_from_dict(d["weights"].get(role), dtype) for role in _WEIGHT_ROLES}
+    weights = {role: _matrix_from_dict(role, d["weights"].get(role), dtype) for role in _WEIGHT_ROLES}
     block = AttentionBlock(
         kind=d["kind"],
         variant=d["variant"],

@@ -9,14 +9,6 @@ class NonFiniteError(ValueError):
     """NaN or Inf where finite values are required."""
 
 
-class DivergenceError(RuntimeError):
-    """Fixed-point iteration produced non-finite values."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
-        self.iteration = iteration
-
-
 class PpmParseError(ValueError):
     """Malformed PPM input; carries the byte offset of the failure."""
 

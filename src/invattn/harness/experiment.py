@@ -34,7 +34,10 @@ from .ppm import load_ppm, save_ppm
 
 SYNTHETIC_SOURCES = ("gradient", "checkerboard", "gaussian-noise")
 _VSCORE_MSE_LIMIT = 10.0  # an image counts as reconstructed below this MSE
-_MAX_IMAGE_SIZE = 64  # response maps are (H*W)^2; quadratic memory guard
+# memory guard for what stays quadratic in the m grid positions: linearize's
+# m x m pieces and its (P, m, m) q, the row-normalized non-invertible
+# branch, and response_map (the invertible forward is column-blocked)
+_MAX_IMAGE_SIZE = 64
 # what a record notes as its error instead of failing the run
 _RECORDED_ERRORS = (InvariantViolation, FloatingPointError, ValueError)
 

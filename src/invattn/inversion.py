@@ -7,10 +7,11 @@ step. The residual reported per step is the max-abs fixed-point defect
 z - x - g(x), which equals the successive-iterate difference and bounds the
 remaining reconstruction error by a 1/(1-c) factor.
 
-A (B, C, H, W) stack of grids is inverted in lockstep: each step is one
-branch call on the images still iterating, every image keeps its own
-iteration count, residual, trace and divergence flag, and an image that
-converges or diverges leaves the stack, so the others are unaffected.
+The solver takes only a (B, C, H, W) stack of grids; :func:`roundtrip`
+passes one grid as a stack of one. The stack is inverted in lockstep: each
+step is one branch call on the images still iterating, every image keeps
+its own iteration count, residual, trace and divergence flag, and an image
+that converges or diverges leaves the stack, so the others are unaffected.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branch, residual_forward
-from .errors import DivergenceError, NonFiniteError
+from .errors import NonFiniteError
 from .logdet import jvp
 
 _PERTURBATION_SCALES = (1e-3, 1e-1, 1.0)
@@ -70,22 +71,17 @@ class InversionReport:
     images: list[InversionReport] | None = None
 
 
-def _branch_step(
-    g: Callable[[FeatureGrid], FeatureGrid], xs: np.ndarray
-) -> tuple[np.ndarray, dict[int, Exception]]:
-    """One branch call on a stack, and the error of each image that raised.
-
-    When the stacked call raises, the step is rerun image by image, so only
-    the images that fail are blamed; their output rows are NaN.
+def _branch_step(g: Callable[[FeatureGrid], FeatureGrid], xs: np.ndarray) -> np.ndarray:
+    """One branch call on a stack. When the stacked call raises, the step is
+    rerun image by image, so only the images that fail are blamed; their
+    output rows are NaN.
     """
     try:
-        return np.asarray(g(xs)), {}
-    except (NonFiniteError, FloatingPointError) as err:
+        return np.asarray(g(xs))
+    except (NonFiniteError, FloatingPointError):
         if len(xs) == 1:
-            return np.full_like(xs, np.nan), {0: err}
-    rows = [_branch_step(g, xs[j : j + 1]) for j in range(len(xs))]
-    errors = {j: err[0] for j, (_, err) in enumerate(rows) if err}
-    return np.concatenate([gx for gx, _ in rows]), errors
+            return np.full_like(xs, np.nan)
+    return np.concatenate([_branch_step(g, xs[j : j + 1]) for j in range(len(xs))])
 
 
 def fixed_point_invert(
@@ -95,56 +91,42 @@ def fixed_point_invert(
 ) -> tuple[FeatureGrid, InversionReport]:
     """Invert z = x + g(x) by iterating x <- z - g(x).
 
-    ``z`` is one (C, H, W) grid or a (B, C, H, W) stack; a grid is solved as
-    a stack of one. A stack is solved in lockstep: each step is one call of
-    ``g``, which must then map a stack, on the images still iterating. Each
-    image keeps its own iteration count, residual, trace and divergence
-    flag, and leaves the stack once it converges, so its result equals a
-    solve of that image alone whenever ``g`` maps a stack grid by grid.
+    ``z`` is a (B, C, H, W) stack; any other shape is refused (pass one grid
+    as a stack of one). The stack is solved in lockstep: each step is one
+    call of ``g`` on the stack of images still iterating. Each image keeps
+    its own iteration count, residual, trace and divergence flag, and
+    leaves the stack once it converges, so its result equals a solve of
+    that image alone whenever ``g`` maps a stack grid by grid.
 
     An image whose branch output or iterate is non-finite, or whose branch
-    call raises, diverges at its own iteration: for one grid this raises
-    :class:`DivergenceError` carrying the iteration index; in a stack the
-    image's slot is NaN, its report says ``diverged``, and the other images
-    go on. A bad answer is never returned silently.
+    call raises, diverges at its own iteration: its slot is NaN, its report
+    says ``diverged`` with that iteration in ``iterations_used``, and the
+    other images go on. A bad answer is never returned silently.
     """
     z = as_grid(z)
-    if cfg is None:
-        cfg = InversionConfig()
-    single = z.ndim == 3
-    zs = z[None] if single else z
-    # one grid reaches g as a grid, so g need not map stacks to solve one
-    step = (lambda xs: g(xs[0])[None]) if single else g
-    n = zs.shape[0]
+    if z.ndim != 4:
+        raise ValueError(f"fixed_point_invert takes a (B, C, H, W) stack, got shape {z.shape}")
+    cfg = cfg or InversionConfig()
+    n = z.shape[0]
     iterations = np.zeros(n, dtype=int)
     diffs = np.full(n, np.inf)
     early = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
     traces = [[] if cfg.record_trace else None for _ in range(n)]
-    failures: dict[int, DivergenceError] = {}
     # the images still iterating, their targets and their iterates; an image
     # that leaves the stack has its last iterate written to x
-    active, za, xa = np.arange(n), zs, zs
+    active, za, xa = np.arange(n), z, z
     x = None
     for i in range(cfg.max_iters):
-        gx, errors = _branch_step(step, xa)
-        x_next = za - gx
+        x_next = za - _branch_step(g, xa)
         if x is None:
-            x = np.empty(zs.shape, dtype=x_next.dtype)
+            x = np.empty(z.shape, dtype=x_next.dtype)
         rows = len(active)
         ok = np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
         diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
         iterations[active] = i + 1
-        diffs[active] = diff
-        for row in np.flatnonzero(~ok):
-            if row in errors:
-                err = DivergenceError(f"residual branch diverged: {errors[row]}", iteration=i + 1)
-                err.__cause__ = errors[row]
-            elif not np.isfinite(gx[row]).all():
-                err = DivergenceError("residual branch produced non-finite values", iteration=i + 1)
-            else:
-                err = DivergenceError("iterate overflowed", iteration=i + 1)
-            failures[int(active[row])] = err
-            diffs[active[row]] = np.inf
+        diffs[active] = np.where(ok, diff, np.inf)
+        failed[active[~ok]] = True
         if cfg.record_trace:
             for image in active[ok]:
                 traces[image].append(float(diffs[image]))
@@ -157,26 +139,22 @@ def fixed_point_invert(
         if not active.size:
             break
     x[active] = xa
-    if single and failures:
-        raise failures[0]
+    x[failed] = np.nan
     reports = [
         InversionReport(
             iterations_used=int(iterations[j]),
             final_residual=float(diffs[j]),
             converged=bool(early[j] or diffs[j] <= cfg.early_stop_tol * 10.0),
-            diverged=j in failures,
+            diverged=bool(failed[j]),
             trace=traces[j],
         )
         for j in range(n)
     ]
-    if single:
-        return x[0], reports[0]
-    x[list(failures)] = np.nan
     report = InversionReport(
         iterations_used=int(iterations.max()),
         final_residual=max(r.final_residual for r in reports),
         converged=all(r.converged for r in reports),
-        diverged=bool(failures),
+        diverged=bool(failed.any()),
         images=reports,
     )
     return x, report
@@ -218,9 +196,12 @@ def estimate_lipschitz(
     ``extra_pairs`` lets callers inject known worst-case directions (e.g.
     the top singular vector from power iteration), and ``local_probes``
     base points each run ``_LOCAL_ITERS`` rounds of power iteration on the
-    local Jacobian (:func:`~invattn.logdet.jvp` of step ``_LOCAL_EPS``) so
-    the dominant directions are probed as pairs too. Coincident pairs are
-    skipped, never divided by.
+    local Jacobian J (:func:`~invattn.logdet.jvp` of step ``_LOCAL_EPS`` on
+    a stack of one direction, which ``g`` must then map), probing each
+    round's direction as a pair too. Power iteration on J alone heads for
+    J's dominant eigenvector, not its top singular vector, so the result is
+    a sampled lower bound on the Lipschitz constant, never a spectral norm.
+    Coincident pairs are skipped, never divided by.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
@@ -260,7 +241,7 @@ def estimate_lipschitz(
         g1 = g(x1)  # one evaluation at the base point serves every round
         for it in range(_LOCAL_ITERS):
             consider(x1, x1 + _LOCAL_EPS * direction, f"{seed}:local:{probe}:{it}", g1)
-            jv = jvp(g, x1, direction, _LOCAL_EPS)
+            jv = jvp(g, x1, direction[None], _LOCAL_EPS)[0]
             nrm = float(np.linalg.norm(jv.ravel()))
             if nrm == 0.0:
                 break

@@ -14,7 +14,8 @@ exact oracle, up to :data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, the
 columns of J_g being one JVP along the unit vectors.
 
 Every branch callable passed here must map a (B, C, H, W) stack of grids
-to the stack of its per-grid outputs, as well as one (C, H, W) grid.
+to the stack of its per-grid outputs; every direction argument is a
+(P, C, H, W) stack, one direction being a stack of one.
 """
 
 from __future__ import annotations
@@ -74,20 +75,21 @@ def jvp(
     v: np.ndarray,
     eps: float = FD_STEP,
 ) -> np.ndarray:
-    """Central-difference directional derivative J_g(x) v.
+    """Central-difference directional derivatives J_g(x) V.
 
-    ``v`` is one direction of ``x.shape`` (one call of ``g`` on a grid per
-    side) or a stack of them of shape ``(P,) + x.shape``, which goes to ``g``
-    in the stacks of ``attention._in_stacks``, as the linearized apply is.
-    Exact for linear maps; O(eps^2) truncation error otherwise. Non-finite
-    output of ``g`` raises :class:`FloatingPointError`.
+    ``x`` is one grid and ``v`` a stack of directions of shape
+    ``(P,) + x.shape``; one direction is passed as a stack of one. The stack
+    goes to ``g`` in the stacks of ``attention._in_stacks``, as the
+    linearized apply's does. Exact for linear maps; O(eps^2) truncation
+    error otherwise. Non-finite output of ``g`` raises
+    :class:`FloatingPointError`.
     """
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
     x = as_grid(x)
     v = np.asarray(v)
-    if v.shape != x.shape and v.shape[1:] != x.shape:
-        raise ValueError(f"direction shape {v.shape} does not match input shape {x.shape}")
+    if v.shape[1:] != x.shape:
+        raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")
     if not np.isfinite(v).all():
         raise ValueError("direction contains non-finite entries")
 
@@ -95,7 +97,7 @@ def jvp(
         step = eps * directions
         return (g(x + step) - g(x - step)) / (2.0 * eps)
 
-    return _in_stacks(central, v, x.shape, f"g during JVP (eps={eps})")
+    return _in_stacks(central, v, f"g during JVP (eps={eps})")
 
 
 def _probe_trace_samples(

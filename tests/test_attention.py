@@ -544,6 +544,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
             block_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda w: w.pop("shape"), "weight 'focus' lacks a list under the key 'shape'"),
+            (lambda w: w.pop("data"), "weight 'focus' lacks a list under the key 'data'"),
+            (lambda w: w.update(shape="3x3"), "weight 'focus' lacks a list under the key 'shape'"),
+            (lambda w: w.update(data=None), "weight 'focus' lacks a list under the key 'data'"),
+            (lambda w: w.update(shape=[9]), r"weight 'focus' has a 'shape' \[9\] that is not the 2-D shape"),
+            (lambda w: w.update(shape=[2, 2]), r"weight 'focus' has a 'shape' \[2, 2\] that is not"),
+            (lambda w: w.update(shape=[3.0, 3]), r"weight 'focus' has a 'shape' \[3.0, 3\] that is not"),
+            (lambda w: w.update(data=["x"] * 9), "weight 'focus' has malformed 'data'"),
+            (lambda w: w.update(data=[[1.0], [1.0, 2.0]]), "weight 'focus' has malformed 'data'"),
+        ],
+        ids=["no-shape", "no-data", "shape-text", "data-null", "shape-1d", "shape-misfit", "shape-float",
+             "data-text", "data-ragged"],
+    )
+    def test_malformed_weight_entry_refused_by_role_and_key(self, edit, message):
+        payload = block_to_dict(build_block("concat", "invertible", 3, seed=27))
+        edit(payload["weights"]["focus"])
+        with pytest.raises(ValueError, match=message):
+            block_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (lambda ws: list(ws.values()), "'weights' is not a mapping"),
+            (lambda ws: dict(ws, last=[[0.5]]), "weight 'last' is not a mapping"),
+        ],
+        ids=["weights-list", "entry-list"],
+    )
+    def test_malformed_weights_refused(self, weights, message):
+        payload = block_to_dict(build_block("concat", "invertible", 3, seed=27))
+        payload["weights"] = weights(payload["weights"])
+        with pytest.raises(ValueError, match=message):
+            block_from_dict(payload)
+
     def test_container_is_plain_json(self, tmp_path):
         block = build_block("concat", "invertible", 3, seed=29)
         path = tmp_path / "block.json"

@@ -34,7 +34,7 @@ def dense_jacobian(branch, x):
     for j in range(dim):
         direction = np.zeros(dim)
         direction[j] = 1.0
-        jac[:, j] = jvp(branch, x, direction.reshape(x.shape), logdet.FD_STEP).ravel()
+        jac[:, j] = jvp(branch, x, direction.reshape(x.shape)[None], logdet.FD_STEP).ravel()
     return jac
 
 
@@ -84,12 +84,12 @@ class TestJvp:
         m = rng.standard_normal((12, 12)) * 0.3
         x = rng.standard_normal((12, 1, 1)) * 0.3
         v = rng.standard_normal((12, 1, 1))
-        got = jvp(linear_branch(m), x, v, eps=1e-2)
+        got = jvp(linear_branch(m), x, v[None], eps=1e-2)
         want = (m @ v.ravel()).reshape(v.shape)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_constant_map_gives_zero(self):
-        got = jvp(lambda x: np.ones_like(x), np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
+        got = jvp(lambda x: np.ones_like(x), np.zeros((2, 2, 2)), np.ones((1, 2, 2, 2)))[0]
         assert np.array_equal(got, np.zeros((2, 2, 2)))
 
     def test_agrees_with_dense_jacobian_on_attention_branch(self):
@@ -100,7 +100,7 @@ class TestJvp:
         jac = dense_jacobian(branch, x)
         for _ in range(5):
             v = rng.standard_normal(x.shape)
-            got = jvp(branch, x, v).ravel()
+            got = jvp(branch, x, v[None]).ravel()
             assert np.abs(got - jac @ v.ravel()).max() <= 1e-6
 
     def test_shape_and_eps_validation(self):
@@ -108,6 +108,17 @@ class TestJvp:
             jvp(lambda x: x, np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
         with pytest.raises(ValueError):
             jvp(lambda x: x, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), eps=0.0)
+
+    def test_single_direction_refused(self):
+        calls = []
+
+        def g(y):
+            calls.append(y.shape)
+            return y
+
+        with pytest.raises(ValueError, match=r"is not \(P,\) \+ \(1, 2, 2\)"):
+            jvp(g, np.zeros((1, 2, 2)), np.ones((1, 2, 2)))
+        assert calls == []
 
     def test_direction_stack_matches_single_directions(self):
         block = build_block("concat", "invertible", 3, seed=3)
@@ -118,7 +129,7 @@ class TestJvp:
         stacked = jvp(branch, x, vs)
         assert stacked.shape == vs.shape
         for v, got in zip(vs, stacked):
-            assert np.abs(got - jvp(branch, x, v)).max() <= 1e-15
+            assert np.abs(got - jvp(branch, x, v[None])).max() <= 1e-15
 
     def test_direction_stack_must_match_trailing_shape(self):
         with pytest.raises(ValueError):
@@ -131,7 +142,7 @@ class TestJvp:
             return np.full_like(x, np.nan)
 
         with pytest.raises(FloatingPointError):
-            jvp(bad, np.zeros((1, 2, 2)), np.ones((1, 2, 2)))
+            jvp(bad, np.zeros((1, 2, 2)), np.ones((1, 1, 2, 2)))
 
     def test_direction_stack_split_under_the_stack_cap(self, monkeypatch):
         branch = make_residual_branch(build_block("concat", "invertible", 3, seed=19))
