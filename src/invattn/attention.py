@@ -35,7 +35,7 @@ PHI_CHOICES = ("softplus", "relu", "elu")
 _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
-BLOCK_FORMAT_VERSION = 3
+BLOCK_FORMAT_VERSION = 4
 # A stacked apply of :func:`linearize` holds a few (grids, m, m) arrays (its
 # q), and so does a row-normalized (non-invertible gaussian or embedded)
 # branch call: cap grids * m^2 so that each stays within 4 MB in float64.
@@ -49,8 +49,7 @@ _STACK_GRIDS = 64
 # not. 32-column slabs lose that gain to per-slab overhead.
 _BLOCK_COLS = 256
 _WEIGHT_ROLES = ("focus", "last", "embed1", "embed2", "pair_scorer")
-_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "precision", "logit_scale",
-                   "column_sum_target", "weights")
+_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "precision", "logit_scale", "weights")
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +165,9 @@ def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
 # ---------------------------------------------------------------------------
 
 
-def check_settings(kind: str, variant: str, phi: str, c: float, column_sum_target: float) -> None:
+def check_settings(kind: str, variant: str, phi: str, c: float) -> None:
     """Refuse a block setting outside its domain: kind, variant and phi must
-    be known, ``c`` in (0, 1) and ``column_sum_target`` in (0, 1]."""
+    be known and ``c`` in (0, 1)."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
     if variant not in VARIANTS:
@@ -177,8 +176,6 @@ def check_settings(kind: str, variant: str, phi: str, c: float, column_sum_targe
         raise ValueError(f"unknown phi {phi!r}; choose from {PHI_CHOICES}")
     if not (0.0 < c < 1.0):
         raise ValueError(f"c must be in (0, 1), got {c}")
-    if not (0.0 < column_sum_target <= 1.0):
-        raise ValueError(f"column_sum_target must be in (0, 1], got {column_sum_target}")
 
 
 @dataclass
@@ -209,10 +206,9 @@ class AttentionBlock:
     c: float = 0.9
     phi: str = "softplus"
     logit_scale: float = 1.0
-    column_sum_target: float = 1.0
 
     def __post_init__(self) -> None:
-        check_settings(self.kind, self.variant, self.phi, self.c, self.column_sum_target)
+        check_settings(self.kind, self.variant, self.phi, self.c)
         self.focus = as_matrix(self.focus)
         for role in ("last", "embed1", "embed2", "pair_scorer"):
             if getattr(self, role) is not None:
@@ -264,7 +260,6 @@ def build_block(
     seed: int = 0,
     dtype: np.dtype = np.float64,
     logit_scale: float = 1.0,
-    column_sum_target: float = 1.0,
 ) -> AttentionBlock:
     """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights and
     embeddings of width ``max(1, channels // 2)``.
@@ -312,7 +307,6 @@ def build_block(
         c=c,
         phi=phi,
         logit_scale=logit_scale,
-        column_sum_target=column_sum_target,
     )
 
 
@@ -376,22 +370,17 @@ def _normalizes_rows(kind: str, variant: str) -> bool:
     return variant == "noninvertible" and kind in _EXP_KINDS
 
 
-def normalize_response(
-    raw: np.ndarray,
-    kind: str,
-    variant: str,
-    column_sum_target: float = 1.0,
-) -> np.ndarray:
+def normalize_response(raw: np.ndarray, kind: str, variant: str) -> np.ndarray:
     """Normalize raw responses (one m x b matrix or a stack) into R(x), or
     into the slab of R(x) at those b <= m columns.
 
-    Invertible variant: columns scaled to sum to ``column_sum_target`` t
-    (1 by default, so the matrix L1 norm is exactly t); a column that sums
-    to zero is filled with t/m. Non-invertible dot/concat entries are
-    divided by the position count m. Both act on each column alone, so a
-    column slab normalizes as its part of the whole matrix. Non-invertible
-    gaussian and embedded rows are scaled to sum to 1, a zero row filled
-    with 1/m; they need the whole square matrix.
+    The invertible variant's columns, and the non-invertible gaussian and
+    embedded rows, are scaled to sum to 1, each by the reciprocal of its
+    sum; a line that sums to zero is filled with 1/m. So an invertible R is
+    column-stochastic, with matrix L1 norm exactly 1. Non-invertible
+    dot/concat entries are divided by the position count m. Column scaling
+    acts on each column alone, so a column slab normalizes as its part of
+    the whole matrix; row scaling needs the whole square matrix.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -404,28 +393,21 @@ def normalize_response(
         raise ValueError(f"response matrix must be {what}, got {a.shape}")
     m, cols = a.shape[-2:]
     a = as_matrix(a.reshape(math.prod(a.shape[:-1]), cols)).reshape(a.shape)
-    if variant == "invertible":
-        if np.any(a < 0):
-            raise InvariantViolation("negative raw response under invertible normalization")
-        sums = a.sum(axis=-2, keepdims=True)
-        dead = sums == 0.0
-        out = a * (column_sum_target / np.where(dead, 1.0, sums))
-        fill = column_sum_target / m
-    elif rows_normalized:
-        sums = a.sum(axis=-1, keepdims=True)
-        dead = sums == 0.0
-        out = a / np.where(dead, 1.0, sums)
-        fill = 1.0 / m
-    else:
+    if variant == "invertible" and np.any(a < 0):
+        raise InvariantViolation("negative raw response under invertible normalization")
+    if variant == "noninvertible" and not rows_normalized:
         return a * a.dtype.type(1.0 / m)
+    sums = a.sum(axis=-1 if rows_normalized else -2, keepdims=True)
+    dead = sums == 0.0
+    out = a * (1.0 / np.where(dead, 1.0, sums))
     if dead.any():
-        out = np.where(dead, a.dtype.type(fill), out)
+        out = np.where(dead, a.dtype.type(1.0 / m), out)
     return out
 
 
 def response_map(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
     """The normalized m x m response map for ``x``."""
-    return normalize_response(raw_response(x, block), block.kind, block.variant, block.column_sum_target)
+    return normalize_response(raw_response(x, block), block.kind, block.variant)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +432,7 @@ def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
     out = None
     for start in range(0, positions, width):
         cols = slice(start, start + width)
-        resp = normalize_response(raw_response(x, block, cols), block.kind, block.variant, block.column_sum_target)
+        resp = normalize_response(raw_response(x, block, cols), block.kind, block.variant)
         part = resp @ feat[..., cols, :]
         if out is None:
             out = part
@@ -483,9 +465,9 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
         embedded, dot  E2 W1                E1 W2
         concat         constant rows W1ᵀa1  constant rows W2ᵀa2
 
-    With column sums s, R = t raw / s and F = X W_fᵀ, the branch is
+    With column sums s, R = raw / s and F = X W_fᵀ, the branch is
     g = R F W_lᵀ; so for q = logit_scale phi'(L) * dL,
-    ``dR = (t q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``,
+    ``dR = (q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``,
     with 1/s folded into F so that dR is never formed. A dead column (sum
     zero, filled uniform) has zero derivative; relu has slope 0 at 0. Each
     call splits its stack with :func:`_in_stacks`; all is in float64.
@@ -502,12 +484,11 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     logits = pairwise_logits(pos, block)
     raw = _activate(logits, block)
     slope = (raw if block.kind in _EXP_KINDS else phi_slope(logits, block.phi)) * block.logit_scale
-    resp = normalize_response(raw, block.kind, block.variant, block.column_sum_target)
+    resp = normalize_response(raw, block.kind, block.variant)
     sums = raw.sum(axis=0)
     inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
     focus_t = block.focus.T
     feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
-    feat_q = block.column_sum_target * feat_scaled
     ones = np.ones(height * width)
     if block.kind == "gaussian":
         p_rows = q_rows = pos
@@ -521,8 +502,8 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
         dpos = grid_to_matrix(v)
         q = slope * (dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2))
         q_sums = ones @ q  # column sums, (P, m)
-        # dR F + R dF = q (t F / s) + R (dF - colsum(q) F / s)
-        d_attn = q @ feat_q + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
+        # dR F + R dF = q (F / s) + R (dF - colsum(q) F / s)
+        d_attn = q @ feat_scaled + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
         return matrix_to_grid(d_attn @ block.last.T, height, width)
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -623,7 +604,6 @@ def block_to_dict(block: AttentionBlock) -> dict:
         "phi": block.phi,
         "precision": precision,
         "logit_scale": block.logit_scale,
-        "column_sum_target": block.column_sum_target,
         "weights": {role: _matrix_to_dict(getattr(block, role)) for role in _WEIGHT_ROLES},
     }
 
@@ -657,7 +637,6 @@ def block_from_dict(d: dict) -> AttentionBlock:
         c=float(d["c"]),
         phi=d["phi"],
         logit_scale=float(d["logit_scale"]),
-        column_sum_target=float(d["column_sum_target"]),
     )
     if block.variant == "invertible":
         for role in ("focus", "last"):

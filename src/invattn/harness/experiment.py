@@ -72,14 +72,13 @@ class ExperimentConfig:
     vscore_floor: float = 0.0
     stress_weight_scale: float = 1.0
     stress_logit_scale: float = 1.0
-    column_sum_target: float = 1.0
     out_dir: str = "out"
 
     def validate(self) -> None:
         if not self.kinds:
             raise ValueError("at least one kind is required")
         for kind in self.kinds:
-            check_settings(kind, self.variant, self.phi, self.c, self.column_sum_target)
+            check_settings(kind, self.variant, self.phi, self.c)
         if self.image_dir is None and self.synthetic not in SYNTHETIC_SOURCES:
             raise ValueError(f"unknown synthetic source {self.synthetic!r}")
         if not (2 <= self.size <= _MAX_IMAGE_SIZE):
@@ -246,7 +245,6 @@ def make_block(cfg: ExperimentConfig, kind: str, seed: int) -> AttentionBlock:
         seed=seed,
         dtype=cfg.dtype,
         logit_scale=cfg.stress_logit_scale,
-        column_sum_target=cfg.column_sum_target,
     )
     if cfg.stress_weight_scale != 1.0:
         _scale_weights_inplace(block, cfg.stress_weight_scale)

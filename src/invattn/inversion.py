@@ -117,27 +117,30 @@ def fixed_point_invert(
     # that leaves the stack has its last iterate written to x
     active, za, xa = np.arange(n), z, z
     x = None
-    for i in range(cfg.max_iters):
-        x_next = za - _branch_step(g, xa)
-        if x is None:
-            x = np.empty(z.shape, dtype=x_next.dtype)
-        rows = len(active)
-        ok = np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
-        diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
-        iterations[active] = i + 1
-        diffs[active] = np.where(ok, diff, np.inf)
-        failed[active[~ok]] = True
-        if cfg.record_trace:
-            for image in active[ok]:
-                traces[image].append(float(diffs[image]))
-        stay = ok & (diff >= cfg.early_stop_tol)
-        if not stay.all():
-            early[active[ok & ~stay]] = True
-            x[active[~stay]] = x_next[~stay]
-            active, za, x_next = active[stay], za[stay], x_next[stay]
-        xa = x_next
-        if not active.size:
-            break
+    # an expansive or overflowing g is expected here: its non-finite rows
+    # are caught by the finite check below, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.max_iters):
+            x_next = za - _branch_step(g, xa)
+            if x is None:
+                x = np.empty(z.shape, dtype=x_next.dtype)
+            rows = len(active)
+            ok = np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
+            diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
+            iterations[active] = i + 1
+            diffs[active] = np.where(ok, diff, np.inf)
+            failed[active[~ok]] = True
+            if cfg.record_trace:
+                for image in active[ok]:
+                    traces[image].append(float(diffs[image]))
+            stay = ok & (diff >= cfg.early_stop_tol)
+            if not stay.all():
+                early[active[ok & ~stay]] = True
+                x[active[~stay]] = x_next[~stay]
+                active, za, x_next = active[stay], za[stay], x_next[stay]
+            xa = x_next
+            if not active.size:
+                break
     x[active] = xa
     x[failed] = np.nan
     reports = [
@@ -274,9 +277,10 @@ def roundtrip(
     x = as_grid(x)
     single = x.ndim == 3
     xs = x[None] if single else x
-    xhat, report = fixed_point_invert(residual_forward(xs, block), make_residual_branch(block), cfg)
-    for j, r in enumerate(report.images):
-        r.reconstruction_mse = math.inf if r.diverged else mse_0_255(xs[j], xhat[j])
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported, not warned of
+        xhat, report = fixed_point_invert(residual_forward(xs, block), make_residual_branch(block), cfg)
+        for j, r in enumerate(report.images):
+            r.reconstruction_mse = math.inf if r.diverged else mse_0_255(xs[j], xhat[j])
     report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)
     if single:
         return (None if report.diverged else xhat[0]), report.images[0]

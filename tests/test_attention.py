@@ -264,10 +264,9 @@ class TestNormalizeResponse:
     def test_zero_column_becomes_uniform(self):
         raw = np.zeros((4, 4))
         raw[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        for target in (1.0, 0.5):  # a dead column is filled with t/m
-            out = normalize_response(raw, "dot", "invertible", column_sum_target=target)
-            assert np.allclose(out[:, [0, 2, 3]], target / 4, rtol=0.0, atol=1e-15)
-            assert abs(out[:, 1].sum() - target) <= 1e-12
+        out = normalize_response(raw, "dot", "invertible")  # a dead column is filled with 1/m
+        assert np.allclose(out[:, [0, 2, 3]], 1.0 / 4, rtol=0.0, atol=1e-15)
+        assert abs(out[:, 1].sum() - 1.0) <= 1e-12
 
     def test_negative_entry_rejected_for_invertible(self):
         raw = np.array([[0.5, -0.1], [0.5, 1.1]])
@@ -290,12 +289,6 @@ class TestNormalizeResponse:
         raw = np.array([[2.0, -4.0], [6.0, 8.0]])
         out = normalize_response(raw, "dot", "noninvertible")
         assert np.array_equal(out, raw / 2.0)
-
-    def test_column_sum_target(self):
-        rng = np.random.default_rng(11)
-        raw = rng.uniform(0.1, 1.0, (4, 4))
-        out = normalize_response(raw, "concat", "invertible", column_sum_target=0.5)
-        assert np.abs(out.sum(axis=0) - 0.5).max() <= 1e-12
 
     def test_square_required(self):
         with pytest.raises(ValueError):
@@ -499,7 +492,7 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_roundtrip_exact(self, kind, tmp_path):
         rng = np.random.default_rng(22)
-        block = build_block(kind, "invertible", 3, seed=26, logit_scale=2.0, column_sum_target=0.8)
+        block = build_block(kind, "invertible", 3, seed=26, logit_scale=2.0)
         path = tmp_path / "block.json"
         save_block(block, path)
         loaded = load_block(path)
@@ -507,7 +500,6 @@ class TestSerialization:
         assert loaded.variant == block.variant
         assert loaded.c == block.c
         assert loaded.logit_scale == 2.0
-        assert loaded.column_sum_target == 0.8
         assert np.array_equal(loaded.focus, block.focus)
         x = random_grid(rng)
         assert np.array_equal(residual_forward(x, loaded), residual_forward(x, block))
@@ -526,9 +518,10 @@ class TestSerialization:
         bad = dict(payload, format="something-else")
         with pytest.raises(ValueError):
             block_from_dict(bad)
-        # version 1 stored an option, and version 2 per-weight bounds and power-
-        # iteration states, that this version no longer reads
-        for version in (1, 2, 99):
+        # version 1 stored an option, version 2 per-weight bounds and power-
+        # iteration states, and version 3 a column-sum target, that this
+        # version no longer reads
+        for version in (1, 2, 3, 99):
             with pytest.raises(ValueError, match="container version"):
                 block_from_dict(dict(payload, version=version))
 
@@ -586,7 +579,8 @@ class TestSerialization:
         save_block(block, path)
         parsed = json.loads(path.read_text())
         assert parsed["format"] == "invattn-block"
-        assert parsed["version"] == 3
+        assert parsed["version"] == 4
+        assert "column_sum_target" not in parsed
         assert parsed["weights"]["pair_scorer"]["shape"] == [1, 2]
         for role, matrix in parsed["weights"].items():
             assert set(matrix) == {"shape", "data"}, role
@@ -650,7 +644,6 @@ def test_noninvertible_exponential_rows_are_distributions(kind):
 
 STACK_CONFIGS = {
     "default": {},
-    "column-target": {"column_sum_target": 0.7},
     "logit-scale": {"logit_scale": 2.5},
     "float32": {"dtype": np.float32},
 }
@@ -689,22 +682,16 @@ def test_stacked_branch_with_a_forced_zero_column():
 
 
 @pytest.mark.parametrize(
-    "kind, variant, options",
-    [
-        ("dot", "invertible", {}),
-        ("dot", "invertible", {"column_sum_target": 0.6}),
-        ("gaussian", "invertible", {"column_sum_target": 0.5}),
-        ("embedded", "noninvertible", {}),
-        ("concat", "noninvertible", {}),
-    ],
+    "kind, variant",
+    [("dot", "invertible"), ("gaussian", "invertible"), ("embedded", "noninvertible"), ("concat", "noninvertible")],
 )
-def test_normalize_response_stack_matches_loop(kind, variant, options):
+def test_normalize_response_stack_matches_loop(kind, variant):
     raw = np.random.default_rng(36).uniform(0.1, 1.0, (4, 5, 5))
     raw[1, :, 2] = 0.0  # a zero column
     raw[2] = 0.0  # an all-zero matrix
     raw[3, 1, :] = 0.0  # a zero row
-    stacked = normalize_response(raw, kind, variant, **options)
-    looped = np.stack([normalize_response(r, kind, variant, **options) for r in raw])
+    stacked = normalize_response(raw, kind, variant)
+    looped = np.stack([normalize_response(r, kind, variant) for r in raw])
     assert np.array_equal(stacked, looped)
 
 
@@ -714,7 +701,6 @@ def test_normalize_response_stack_matches_loop(kind, variant, options):
 
 BLOCKED_CONFIGS = {
     "default": {},
-    "column-target": {"column_sum_target": 0.6},
     "logit-scale": {"logit_scale": 1.3},
     "float32": {"dtype": np.float32},
 }
@@ -786,10 +772,10 @@ def test_blocked_forward_with_forced_zero_columns(monkeypatch):
 )
 def test_column_slab_normalizes_as_its_part_of_the_whole(kind, variant):
     raw = np.random.default_rng(44).uniform(0.1, 1.0, (2, 6, 6))
-    raw[1, :, 4] = 0.0  # a dead column, filled with t/m for m = 6 rows
-    whole = normalize_response(raw, kind, variant, column_sum_target=0.6)
+    raw[1, :, 4] = 0.0  # a dead column, filled with 1/m for m = 6 rows
+    whole = normalize_response(raw, kind, variant)
     for cols in (slice(0, 2), slice(2, 5), slice(5, 6)):
-        slab = normalize_response(raw[..., cols], kind, variant, column_sum_target=0.6)
+        slab = normalize_response(raw[..., cols], kind, variant)
         assert np.array_equal(slab, whole[..., cols])
 
 

@@ -286,7 +286,6 @@ class TestConfigPlumbing:
             {"variant": "sideways"},
             {"vscore_floor": 1.5},
             {"precision": 16},
-            {"column_sum_target": 0.0},
             {"tol": math.inf},
             {"phi": "tanh"},
             {"c": 1.0},
@@ -542,7 +541,6 @@ class TestRunExperiment:
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stacked_roundtrip_failure_runs_each_image_alone(self, tmp_path):
         # At this logit scale a grey image inverts alone, but stacked with a
         # white one the whole forward pass overflows.
@@ -665,12 +663,24 @@ class TestCli:
             assert code == EXIT_CONFIG, tol
             assert not (out / "records.jsonl").exists(), tol
 
-    def test_column_sum_target_refused_before_out_dir_is_made(self, tmp_path):
+    def test_diverging_run_is_reported_without_numeric_warnings(self, tmp_path):
+        # the stressed blocks overflow in the forward pass and the solve; the
+        # run reports that in its records, and pytest turns any numpy
+        # RuntimeWarning into an error
+        out = tmp_path / "out"
+        code = main(["run", "--size", "8", "--batch", "3", "--stress-weight-scale", "60",
+                     "--workers", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(read_records(out / "records.jsonl")) == 12
+
+    def test_column_sum_target_refused_before_out_dir_is_made(self, tmp_path, capsys):
+        # the key was removed; an old config file that sets it fails loudly
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("kinds = dot\nsize = 8\ncolumn_sum_target = 1.5\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+        assert "unknown config key 'column_sum_target'" in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK

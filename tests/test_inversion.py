@@ -93,7 +93,6 @@ class TestFixedPointInvert:
         assert report.images[0].iterations_used == 1
         assert np.isnan(x[0]).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_expansive_branch_overflows_to_divergence(self):
         # 1 - 1e200 is finite; the next step's branch output overflows
         z = np.ones((1, 1, 2, 2))
@@ -196,7 +195,6 @@ class TestStackedSolve:
             assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
         assert report.reconstruction_mse == max(r.reconstruction_mse for r in report.images)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stacked_roundtrip_divergences_match_solo_roundtrips(self):
         block = build_block("gaussian", "invertible", 3, seed=13)
         _scale_weights_inplace(block, 50.0)
@@ -237,7 +235,6 @@ class TestStackedSolve:
         assert np.isnan(x[2]).all()
         assert report.diverged and not report.converged
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_diverges_at_the_images_own_iteration(self):
         # g(y) = 0.5 y, except 1e200 y where |y| > 10: z = 20 overflows at step 2
         def g(xs):
@@ -256,7 +253,6 @@ class TestStackedSolve:
             assert report.images[j].converged
         assert report.iterations_used == max(r.iterations_used for r in report.images)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_raising_stacked_call_is_attributed_to_the_right_image(self):
         # a dot block's softplus overflows to inf on a huge grid, and the
         # response normalization raises NonFiniteError for the whole stack
@@ -416,7 +412,6 @@ class TestRoundtrip:
                 assert not report.converged
         assert flagged > 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_report_carries_infinities(self):
         block = build_block("gaussian", "invertible", 3, seed=13)
         _scale_weights_inplace(block, 50.0)

@@ -168,7 +168,6 @@ LINEARIZE_CONFIGS = {
     "relu": {"phi": "relu"},
     "float32": {"dtype": np.float32},
     "logit_scale": {"logit_scale": 3.0},
-    "column_sum_target": {"column_sum_target": 0.5},
 }
 
 
