@@ -48,7 +48,6 @@ _STACK_GRIDS = 64
 # takes four (m, 256) slabs, which stay in cache where one (m, m) response does
 # not. 32-column slabs lose that gain to per-slab overhead.
 _BLOCK_COLS = 256
-_WEIGHT_ROLES = ("focus", "last", "embed1", "embed2", "pair_scorer")
 _CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "precision", "logit_scale", "weights")
 
 
@@ -165,9 +164,9 @@ def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
 # ---------------------------------------------------------------------------
 
 
-def check_settings(kind: str, variant: str, phi: str, c: float) -> None:
+def check_settings(kind: str, variant: str, phi: str, c: float, logit_scale: float) -> None:
     """Refuse a block setting outside its domain: kind, variant and phi must
-    be known and ``c`` in (0, 1)."""
+    be known, ``c`` in (0, 1) and ``logit_scale`` finite."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
     if variant not in VARIANTS:
@@ -176,6 +175,30 @@ def check_settings(kind: str, variant: str, phi: str, c: float) -> None:
         raise ValueError(f"unknown phi {phi!r}; choose from {PHI_CHOICES}")
     if not (0.0 < c < 1.0):
         raise ValueError(f"c must be in (0, 1), got {c}")
+    if not math.isfinite(logit_scale):
+        raise ValueError(f"logit_scale must be finite, got {logit_scale}")
+
+
+def _weight_shapes(kind: str, variant: str, channels: int, width: int) -> dict[str, tuple[int, int]]:
+    """The weights a ``kind``/``variant`` block carries, by role in the order
+    :func:`build_block` draws them, with their (out, in) shapes for C =
+    ``channels`` and embedding width w = ``width``: focus (C, C); last (C, C),
+    invertible only; embed1 and embed2 (w, C), every kind but gaussian;
+    pair_scorer (1, 2w), concat only."""
+    shapes = {"focus": (channels, channels)}
+    if variant == "invertible":
+        shapes["last"] = (channels, channels)
+    if kind != "gaussian":
+        shapes["embed1"] = shapes["embed2"] = (width, channels)
+    if kind == "concat":
+        shapes["pair_scorer"] = (1, 2 * width)
+    return shapes
+
+
+# every role a block can carry, in table order
+_WEIGHT_ROLES = tuple(_weight_shapes("concat", "invertible", 1, 1))
+# the weights spectrally bounded at c in the invertible variant
+_BOUNDED_ROLES = ("focus", "last")
 
 
 @dataclass
@@ -184,13 +207,13 @@ class AttentionBlock:
 
     Every weight is a plain (out, in) matrix. Roles: ``focus`` is the
     feature-map conv F; ``embed1``/``embed2`` are the pairwise-response
-    embeddings (absent for the gaussian kind); ``pair_scorer`` maps a
-    concatenated embedding pair to a scalar score (concat kind only);
-    ``last`` is the output conv on the residual branch (invertible variant
-    only). Construction refuses settings outside :func:`check_settings` and
-    weights whose shapes do not fit C = ``focus.shape[1]`` channels: focus
-    and last (C, C), embed1 and embed2 (w, C) of one width w, the pair
-    scorer (1, 2w). No bound is stored on a weight: in the invertible
+    embeddings; ``pair_scorer`` maps a concatenated embedding pair to a
+    scalar score; ``last`` is the output conv on the residual branch.
+    :func:`_weight_shapes` says which of them a kind and variant carry, and
+    at which shapes. Construction refuses settings outside
+    :func:`check_settings`, a missing or extra weight, and a weight whose
+    shape is not the table's for C = ``focus.shape[1]`` channels and w =
+    ``embed1.shape[0]``. No bound is stored on a weight: in the invertible
     variant focus and last are meant to have spectral norm at most ``c``,
     which :func:`build_block` enforces once; the block itself does not
     re-check it.
@@ -208,43 +231,25 @@ class AttentionBlock:
     logit_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        check_settings(self.kind, self.variant, self.phi, self.c)
-        self.focus = as_matrix(self.focus)
-        for role in ("last", "embed1", "embed2", "pair_scorer"):
+        check_settings(self.kind, self.variant, self.phi, self.c, self.logit_scale)
+        given = {}
+        for role in _WEIGHT_ROLES:
             if getattr(self, role) is not None:
-                setattr(self, role, as_matrix(getattr(self, role)))
-        square = (self.channels, self.channels)
-        for role in ("focus", "last"):
-            w = getattr(self, role)
-            if w is not None and w.shape != square:
-                raise ValueError(f"{role} shape {w.shape} is not {square}")
-        needs_embed = self.kind != "gaussian"
-        if needs_embed and (self.embed1 is None or self.embed2 is None):
-            raise ValueError(f"kind {self.kind!r} requires embed1 and embed2")
-        if not needs_embed and (self.embed1 is not None or self.embed2 is not None):
-            raise ValueError("gaussian kind takes no embedding weights")
-        if needs_embed and not (
-            self.embed1.shape == self.embed2.shape and self.embed1.shape[1] == self.channels
-        ):
-            raise ValueError(
-                f"embed1 shape {self.embed1.shape} and embed2 shape {self.embed2.shape} "
-                f"are not both (w, {self.channels})"
-            )
-        if self.kind == "concat":
-            if self.pair_scorer is None:
-                raise ValueError("concat kind requires a pair_scorer")
-            if self.pair_scorer.shape != (1, 2 * self.embed1.shape[0]):
-                raise ValueError(
-                    f"pair_scorer shape {self.pair_scorer.shape} does not match "
-                    f"(1, {2 * self.embed1.shape[0]})"
-                )
-        elif self.pair_scorer is not None:
-            raise ValueError("pair_scorer is only meaningful for the concat kind")
-        if self.variant == "invertible":
-            if self.last is None:
-                raise ValueError("invertible variant requires the output conv (last)")
-        elif self.last is not None:
-            raise ValueError("noninvertible variant carries no output conv")
+                given[role] = as_matrix(getattr(self, role))
+                setattr(self, role, given[role])
+        shapes = _weight_shapes(
+            self.kind,
+            self.variant,
+            given["focus"].shape[1] if "focus" in given else 0,
+            given["embed1"].shape[0] if "embed1" in given else 0,
+        )
+        for role in _WEIGHT_ROLES:
+            if (role in shapes) != (role in given):
+                verb = "requires the" if role in shapes else "takes no"
+                raise ValueError(f"{self.variant} {self.kind} block {verb} weight {role!r}")
+        for role, shape in shapes.items():
+            if given[role].shape != shape:
+                raise ValueError(f"{role} shape {given[role].shape} is not {shape}")
 
     @property
     def channels(self) -> int:
@@ -262,7 +267,8 @@ def build_block(
     logit_scale: float = 1.0,
 ) -> AttentionBlock:
     """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights and
-    embeddings of width ``max(1, channels // 2)``.
+    embeddings of width ``max(1, channels // 2)``. The weights and their
+    draw order are :func:`_weight_shapes`'s.
 
     In the invertible variant the focus and output convs are spectrally
     normalized to ``c`` here, once: a cold-start power iteration in float64
@@ -273,41 +279,16 @@ def build_block(
     noninvertible block keeps its focus as drawn.
     """
     rng = np.random.default_rng(seed)
-
-    def init(out_dim: int, in_dim: int) -> np.ndarray:
+    weights = {}
+    for role, (out_dim, in_dim) in _weight_shapes(kind, variant, channels, max(1, channels // 2)).items():
         scale = 1.0 / np.sqrt(in_dim)
-        return rng.uniform(-scale, scale, size=(out_dim, in_dim)).astype(dtype)
-
-    def bounded(w: np.ndarray, power_seed: int) -> np.ndarray:
-        w64 = w.astype(np.float64, copy=False)
-        estimate = power_iteration(w64, iters=1000, tol=1e-15, seed=power_seed)
-        return spectral_normalize(w64, c, estimate).astype(dtype, copy=False)
-
-    focus = init(channels, channels)
-    last = None
+        weights[role] = rng.uniform(-scale, scale, size=(out_dim, in_dim)).astype(dtype)
     if variant == "invertible":
-        focus = bounded(focus, seed)
-        last = bounded(init(channels, channels), seed + 1)
-    embed1 = embed2 = None
-    pair_scorer = None
-    if kind != "gaussian":
-        width = max(1, channels // 2)
-        embed1 = init(width, channels)
-        embed2 = init(width, channels)
-        if kind == "concat":
-            pair_scorer = init(1, 2 * width)
-    return AttentionBlock(
-        kind=kind,
-        variant=variant,
-        focus=focus,
-        last=last,
-        embed1=embed1,
-        embed2=embed2,
-        pair_scorer=pair_scorer,
-        c=c,
-        phi=phi,
-        logit_scale=logit_scale,
-    )
+        for power_seed, role in enumerate(_BOUNDED_ROLES, start=seed):
+            w64 = weights[role].astype(np.float64, copy=False)
+            estimate = power_iteration(w64, iters=1000, tol=1e-15, seed=power_seed)
+            weights[role] = spectral_normalize(w64, c, estimate).astype(dtype, copy=False)
+    return AttentionBlock(kind=kind, variant=variant, **weights, c=c, phi=phi, logit_scale=logit_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +503,9 @@ def residual_forward(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
 
 
 def make_residual_branch(block: AttentionBlock):
-    """Close over an immutable, normalized block; safe for concurrent calls."""
+    """Close over ``block``, which the branch only reads; safe for concurrent
+    calls. Its weights are bounded only if nothing rescaled them after
+    :func:`build_block`, as a ``stress_weight_scale`` run does."""
 
     def branch(x: FeatureGrid) -> FeatureGrid:
         return residual_branch(x, block)
@@ -639,7 +622,7 @@ def block_from_dict(d: dict) -> AttentionBlock:
         logit_scale=float(d["logit_scale"]),
     )
     if block.variant == "invertible":
-        for role in ("focus", "last"):
+        for role in _BOUNDED_ROLES:
             sigma = float(np.linalg.norm(getattr(block, role).astype(np.float64), 2))
             if not sigma <= block.c + 1e-6:
                 raise ValueError(f"{role} has spectral norm {sigma:.6g} above c = {block.c}")

@@ -78,7 +78,7 @@ class ExperimentConfig:
         if not self.kinds:
             raise ValueError("at least one kind is required")
         for kind in self.kinds:
-            check_settings(kind, self.variant, self.phi, self.c)
+            check_settings(kind, self.variant, self.phi, self.c, self.stress_logit_scale)
         if self.image_dir is None and self.synthetic not in SYNTHETIC_SOURCES:
             raise ValueError(f"unknown synthetic source {self.synthetic!r}")
         if not (2 <= self.size <= _MAX_IMAGE_SIZE):
@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise ValueError("vscore_floor must be in [0, 1]")
         if self.logdet_terms < 1 or self.logdet_samples < 1:
             raise ValueError("logdet_terms and logdet_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.stress_weight_scale):
+            raise ValueError(f"stress_weight_scale must be finite, got {self.stress_weight_scale}")
 
     @property
     def dtype(self) -> np.dtype:

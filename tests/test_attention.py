@@ -459,6 +459,61 @@ class TestBlockConstruction:
         with pytest.raises(ValueError, match="shape"):
             AttentionBlock(variant="invertible", **weights)
 
+    @pytest.mark.parametrize("role", ["last", "embed1", "embed2", "pair_scorer"])
+    @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_missing_or_extra_role_refused_by_name(self, kind, variant, role):
+        # drop the role if the block carries it, else add one
+        carried = {
+            "last": variant == "invertible",
+            "embed1": kind != "gaussian",
+            "embed2": kind != "gaussian",
+            "pair_scorer": kind == "concat",
+        }[role]
+        block = build_block(kind, variant, 4, seed=1)
+        weights = {r: getattr(block, r) for r in ("focus", "last", "embed1", "embed2", "pair_scorer")}
+        assert (weights[role] is not None) == carried
+        weights[role] = None if carried else np.ones((2, 4))
+        with pytest.raises(ValueError, match=role):
+            AttentionBlock(kind=kind, variant=variant, **weights, c=block.c, phi=block.phi)
+
+    @pytest.mark.parametrize("channels", [3, 12, 48])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_draws_match_an_inline_reference(self, kind, variant, dtype, channels):
+        # the builder's draw order, written out: any change to it changes
+        # every saved block and every run's records
+        seed, c = 7, 0.8
+        rng = np.random.default_rng(seed)
+
+        def draw(out_dim, in_dim):
+            scale = 1.0 / np.sqrt(in_dim)
+            return rng.uniform(-scale, scale, size=(out_dim, in_dim)).astype(dtype)
+
+        width = max(1, channels // 2)
+        want = {"focus": draw(channels, channels)}
+        if variant == "invertible":
+            want["last"] = draw(channels, channels)
+        if kind != "gaussian":
+            want["embed1"] = draw(width, channels)
+            want["embed2"] = draw(width, channels)
+        if kind == "concat":
+            want["pair_scorer"] = draw(1, 2 * width)
+        if variant == "invertible":
+            for power_seed, role in ((seed, "focus"), (seed + 1, "last")):
+                w64 = want[role].astype(np.float64)
+                estimate = power_iteration(w64, iters=1000, tol=1e-15, seed=power_seed)
+                want[role] = spectral_normalize(w64, c, estimate).astype(dtype)
+        block = build_block(kind, variant, channels, c=c, seed=seed, dtype=dtype)
+        for role in ("focus", "last", "embed1", "embed2", "pair_scorer"):
+            got = getattr(block, role)
+            if role not in want:
+                assert got is None, role
+                continue
+            assert got.dtype == dtype, role
+            assert np.array_equal(got, want[role]), role
+
     def test_container_with_misshapen_weight_refused(self):
         payload = block_to_dict(build_block("embedded", "invertible", 3, seed=30))
         payload["weights"]["last"] = {"shape": [4, 4], "data": np.eye(4).ravel().tolist()}
@@ -593,6 +648,12 @@ class TestSerialization:
         weight = payload["weights"][role]
         weight["data"] = [3.0 * value for value in weight["data"]]
         with pytest.raises(ValueError, match=f"{role} has spectral norm"):
+            block_from_dict(payload)
+
+    def test_container_with_nan_logit_scale_refused(self):
+        payload = block_to_dict(build_block("dot", "invertible", 3, seed=3))
+        payload["logit_scale"] = math.nan
+        with pytest.raises(ValueError, match="logit_scale must be finite"):
             block_from_dict(payload)
 
     def test_noninvertible_container_keeps_its_free_focus(self):

@@ -682,6 +682,35 @@ class TestCli:
         assert not out.exists()
         assert "unknown config key 'column_sum_target'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--stress-logit-scale", "nan", "--kind", "gaussian,dot"], "logit_scale"),
+            (["--stress-weight-scale", "inf", "--kind", "embedded"], "stress_weight_scale"),
+        ],
+        ids=["logit-nan", "weight-inf"],
+    )
+    def test_non_finite_stress_refused_before_out_dir_is_made(self, tmp_path, capsys, flags, name):
+        # unchecked, a NaN logit scale ran and recorded NonFiniteError for
+        # every image, and an infinite weight scale saved a block of
+        # Infinity literals that load_block refuses
+        out = tmp_path / "out"
+        code = main(["run", *flags, "--size", "8", "--batch", "1", "--workers", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_refused_by_name_before_out_dir_is_made(self, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        save_ppm(np.full((3, 8, 8), 0.5), images / "a.ppm")
+        out = tmp_path / "out"
+        code = main(["run", "--seed", "-1", "--image-dir", str(images), "--kind", "gaussian",
+                     "--workers", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
