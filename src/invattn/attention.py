@@ -1,6 +1,6 @@
 """Residual attention blocks over feature grids.
 
-A feature grid is a plain ``(channels, height, width)`` float array; its
+A feature grid is a plain ``(channels, height, width)`` float64 array; its
 ``positions x channels`` matrix view (one row per spatial position) is what
 the response and feature maps act on. The maps up to the residual branch
 also take a ``(batch, channels, height, width)`` stack of grids and act on
@@ -35,7 +35,7 @@ PHI_CHOICES = ("softplus", "relu", "elu")
 _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
-BLOCK_FORMAT_VERSION = 4
+BLOCK_FORMAT_VERSION = 5
 # A stacked apply of :func:`linearize` holds a few (grids, m, m) arrays (its
 # q), and so does a row-normalized (non-invertible gaussian or embedded)
 # branch call: cap grids * m^2 so that each stays within 4 MB in float64.
@@ -48,7 +48,7 @@ _STACK_GRIDS = 64
 # takes four (m, 256) slabs, which stay in cache where one (m, m) response does
 # not. 32-column slabs lose that gain to per-slab overhead.
 _BLOCK_COLS = 256
-_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "precision", "logit_scale", "weights")
+_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "logit_scale", "weights")
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +57,13 @@ _CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "precisio
 
 
 def as_grid(x: np.ndarray) -> FeatureGrid:
-    """Validate a (C, H, W) grid, or a (B, C, H, W) stack of grids, of finite reals."""
-    a = np.asarray(x)
+    """Validate a (C, H, W) grid, or a (B, C, H, W) stack of grids, of finite
+    reals, and return it as a float64 array (a copy only if ``x`` is not one)."""
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim not in (3, 4):
         raise ValueError(f"expected a (C, H, W) grid or a (B, C, H, W) stack, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError("empty grid")
-    if a.dtype not in (np.float32, np.float64):
-        a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise NonFiniteError("grid contains non-finite entries")
     return a
@@ -263,31 +262,32 @@ def build_block(
     c: float = 0.9,
     phi: str = "softplus",
     seed: int = 0,
-    dtype: np.dtype = np.float64,
     logit_scale: float = 1.0,
 ) -> AttentionBlock:
     """Construct a block with seeded uniform(-1/sqrt(fan_in), ..) weights and
     embeddings of width ``max(1, channels // 2)``. The weights and their
-    draw order are :func:`_weight_shapes`'s.
+    draw order are :func:`_weight_shapes`'s; ``channels`` below 1 is refused
+    before any draw.
 
     In the invertible variant the focus and output convs are spectrally
-    normalized to ``c`` here, once: a cold-start power iteration in float64
-    (seed ``seed`` for focus, ``seed + 1`` for last) gives sigma, and a
-    weight with sigma > c is scaled by c/sigma and cast back to ``dtype``.
+    normalized to ``c`` here, once: a cold-start power iteration (seed
+    ``seed`` for focus, ``seed + 1`` for last) gives sigma, and a weight
+    with sigma > c is scaled by c/sigma.
     The response-path weights (embeddings and pair scorer) stay free,
     matching the relaxed conditions the invertible variant targets; a
     noninvertible block keeps its focus as drawn.
     """
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
     weights = {}
     for role, (out_dim, in_dim) in _weight_shapes(kind, variant, channels, max(1, channels // 2)).items():
         scale = 1.0 / np.sqrt(in_dim)
-        weights[role] = rng.uniform(-scale, scale, size=(out_dim, in_dim)).astype(dtype)
+        weights[role] = rng.uniform(-scale, scale, size=(out_dim, in_dim))
     if variant == "invertible":
         for power_seed, role in enumerate(_BOUNDED_ROLES, start=seed):
-            w64 = weights[role].astype(np.float64, copy=False)
-            estimate = power_iteration(w64, iters=1000, tol=1e-15, seed=power_seed)
-            weights[role] = spectral_normalize(w64, c, estimate).astype(dtype, copy=False)
+            estimate = power_iteration(weights[role], iters=1000, tol=1e-15, seed=power_seed)
+            weights[role] = spectral_normalize(weights[role], c, estimate)
     return AttentionBlock(kind=kind, variant=variant, **weights, c=c, phi=phi, logit_scale=logit_scale)
 
 
@@ -313,7 +313,7 @@ def pairwise_logits(pos: np.ndarray, block: AttentionBlock, cols: slice = slice(
         else:
             logits = e1 @ e2.swapaxes(-1, -2)
     if block.logit_scale != 1.0:
-        logits = logits * logits.dtype.type(block.logit_scale)
+        logits = logits * block.logit_scale
     return logits
 
 
@@ -377,12 +377,12 @@ def normalize_response(raw: np.ndarray, kind: str, variant: str) -> np.ndarray:
     if variant == "invertible" and np.any(a < 0):
         raise InvariantViolation("negative raw response under invertible normalization")
     if variant == "noninvertible" and not rows_normalized:
-        return a * a.dtype.type(1.0 / m)
+        return a * (1.0 / m)
     sums = a.sum(axis=-1 if rows_normalized else -2, keepdims=True)
     dead = sums == 0.0
     out = a * (1.0 / np.where(dead, 1.0, sums))
     if dead.any():
-        out = np.where(dead, a.dtype.type(1.0 / m), out)
+        out = np.where(dead, 1.0 / m, out)
     return out
 
 
@@ -451,11 +451,11 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     ``dR = (q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``,
     with 1/s folded into F so that dR is never formed. A dead column (sum
     zero, filled uniform) has zero derivative; relu has slope 0 at 0. Each
-    call splits its stack with :func:`_in_stacks`; all is in float64.
+    call splits its stack with :func:`_in_stacks`.
     """
     if block.variant != "invertible":
         raise ValueError("linearize requires an invertible-variant block")
-    x = as_grid(x).astype(np.float64, copy=False)
+    x = as_grid(x)
     if x.ndim != 3:
         raise ValueError(f"linearize takes one (C, H, W) grid, got shape {x.shape}")
     if x.shape[0] != block.channels:
@@ -473,8 +473,8 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     ones = np.ones(height * width)
     if block.kind == "gaussian":
         p_rows = q_rows = pos
-    elif block.kind == "concat":  # float64 before the product, for float32 blocks
-        a1, a2 = np.split(block.pair_scorer[0].astype(np.float64), 2)
+    elif block.kind == "concat":
+        a1, a2 = np.split(block.pair_scorer[0], 2)
         p_rows, q_rows = np.outer(ones, block.embed1.T @ a1), np.outer(ones, block.embed2.T @ a2)
     else:
         p_rows, q_rows = (pos @ block.embed2.T) @ block.embed1, (pos @ block.embed1.T) @ block.embed2
@@ -488,7 +488,7 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
         return matrix_to_grid(d_attn @ block.last.T, height, width)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v)
         if v.shape[1:] != x.shape:
             raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")
         return _in_stacks(step, v, "the linearized branch")
@@ -555,7 +555,7 @@ def _matrix_to_dict(w: np.ndarray | None) -> dict | None:
     return None if w is None else {"shape": list(w.shape), "data": w.ravel().tolist()}
 
 
-def _matrix_from_dict(role: str, d: object, dtype: np.dtype) -> np.ndarray | None:
+def _matrix_from_dict(role: str, d: object) -> np.ndarray | None:
     """One weight entry; a malformed entry is refused by its role and key."""
     if d is None:
         return None
@@ -565,7 +565,7 @@ def _matrix_from_dict(role: str, d: object, dtype: np.dtype) -> np.ndarray | Non
         if not isinstance(d.get(key), list):
             raise ValueError(f"weight {role!r} lacks a list under the key {key!r}")
     try:
-        data = np.array(d["data"], dtype=dtype)
+        data = np.array(d["data"], dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ValueError(f"weight {role!r} has malformed 'data': {err}") from None
     try:
@@ -577,7 +577,6 @@ def _matrix_from_dict(role: str, d: object, dtype: np.dtype) -> np.ndarray | Non
 
 
 def block_to_dict(block: AttentionBlock) -> dict:
-    precision = "float32" if block.focus.dtype == np.float32 else "float64"
     return {
         "format": BLOCK_FORMAT,
         "version": BLOCK_FORMAT_VERSION,
@@ -585,7 +584,6 @@ def block_to_dict(block: AttentionBlock) -> dict:
         "variant": block.variant,
         "c": block.c,
         "phi": block.phi,
-        "precision": precision,
         "logit_scale": block.logit_scale,
         "weights": {role: _matrix_to_dict(getattr(block, role)) for role in _WEIGHT_ROLES},
     }
@@ -593,10 +591,10 @@ def block_to_dict(block: AttentionBlock) -> dict:
 
 def block_from_dict(d: dict) -> AttentionBlock:
     """Rebuild a block from :func:`block_to_dict` output. A container that
-    lacks a key it writes, has a precision other than float32 or float64, or
-    has a malformed ``weights`` mapping or weight entry, is refused by name.
-    So is an invertible container whose focus or last has spectral norm
-    above ``c`` (past a 1e-6 rounding allowance, from a dense float64 SVD):
+    lacks a key it writes, or has a malformed ``weights`` mapping or weight
+    entry, is refused by name; weights are read as float64. So is an
+    invertible container whose focus or last has spectral norm above ``c``
+    (past a 1e-6 rounding allowance, from a dense SVD):
     only :func:`build_block` bounds the weights, so a container edited or
     saved after a bound-breaking stress would load as an uncertified
     block."""
@@ -607,12 +605,9 @@ def block_from_dict(d: dict) -> AttentionBlock:
         raise ValueError(f"not a {BLOCK_FORMAT} container: format={d['format']!r}")
     if d["version"] != BLOCK_FORMAT_VERSION:
         raise ValueError(f"unsupported container version {d['version']!r}")
-    if d["precision"] not in ("float32", "float64"):
-        raise ValueError(f"unsupported container precision {d['precision']!r}; choose float32 or float64")
     if not isinstance(d["weights"], dict):
         raise ValueError("block container 'weights' is not a mapping of role to matrix")
-    dtype = np.dtype(d["precision"])
-    weights = {role: _matrix_from_dict(role, d["weights"].get(role), dtype) for role in _WEIGHT_ROLES}
+    weights = {role: _matrix_from_dict(role, d["weights"].get(role)) for role in _WEIGHT_ROLES}
     block = AttentionBlock(
         kind=d["kind"],
         variant=d["variant"],
@@ -623,7 +618,7 @@ def block_from_dict(d: dict) -> AttentionBlock:
     )
     if block.variant == "invertible":
         for role in _BOUNDED_ROLES:
-            sigma = float(np.linalg.norm(getattr(block, role).astype(np.float64), 2))
+            sigma = float(np.linalg.norm(getattr(block, role), 2))
             if not sigma <= block.c + 1e-6:
                 raise ValueError(f"{role} has spectral norm {sigma:.6g} above c = {block.c}")
     return block

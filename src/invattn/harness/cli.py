@@ -62,7 +62,6 @@ def _add_block_flags(sub: argparse.ArgumentParser, single_kind: bool) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--c", type=float, help="Lipschitz target in (0, 1)")
     sub.add_argument("--iters", type=int, help="inverse iteration count N")
-    sub.add_argument("--precision", type=int, choices=(32, 64))
     sub.add_argument("--squeeze", dest="squeeze_levels", type=int, help="squeeze levels before the block")
     sub.add_argument("--phi", choices=PHI_CHOICES)
 
@@ -120,10 +119,10 @@ def _single_input(args):
     single-image subcommand."""
     cfg = _config(args)
     if getattr(args, "image", None):
-        image = load_ppm(args.image, dtype=cfg.dtype)
+        image = load_ppm(args.image)
         check_image(image, cfg)
     else:
-        image = synthetic_batch(cfg.synthetic, cfg.size, 1, cfg.seed, dtype=cfg.dtype)[0]
+        image = synthetic_batch(cfg.synthetic, cfg.size, 1, cfg.seed)[0]
     return cfg, make_block(cfg, cfg.kinds[0], cfg.seed), squeeze_levels(image, cfg.squeeze_levels)
 
 

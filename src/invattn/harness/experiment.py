@@ -63,7 +63,6 @@ class ExperimentConfig:
     iters: int = 100
     tol: float = 1e-10
     seed: int = 0
-    precision: int = 64
     squeeze_levels: int = 1
     logdet: bool = False
     logdet_terms: int = 20
@@ -89,8 +88,6 @@ class ExperimentConfig:
             raise ValueError("iters must be >= 1")
         if not 0.0 <= self.tol < math.inf:  # also refuses NaN
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.precision not in (32, 64):
-            raise ValueError(f"precision must be 32 or 64, got {self.precision}")
         if self.squeeze_levels < 0:
             raise ValueError("squeeze_levels must be >= 0")
         if self.size % (2**self.squeeze_levels) != 0:
@@ -107,10 +104,6 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.stress_weight_scale):
             raise ValueError(f"stress_weight_scale must be finite, got {self.stress_weight_scale}")
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.float32 if self.precision == 32 else np.float64
 
     @property
     def inversion(self) -> InversionConfig:
@@ -168,7 +161,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def synthetic_batch(source: str, size: int, batch: int, seed: int, dtype=np.float64) -> list[np.ndarray]:
+def synthetic_batch(source: str, size: int, batch: int, seed: int) -> list[np.ndarray]:
     """Deterministic batch of (3, size, size) grids with values in [0, 1]."""
     if source not in SYNTHETIC_SOURCES:
         raise ValueError(f"unknown synthetic source {source!r}")
@@ -191,15 +184,15 @@ def synthetic_batch(source: str, size: int, batch: int, seed: int, dtype=np.floa
             img = np.stack([lo[ch] + (hi[ch] - lo[ch]) * pattern for ch in range(3)])
         else:  # gaussian-noise
             img = np.clip(rng.normal(0.5, 0.2, size=(3, size, size)), 0.0, 1.0)
-        images.append(img.astype(dtype))
+        images.append(img)
     return images
 
 
-def load_image_dir(path: str | Path, dtype=np.float64) -> list[np.ndarray]:
+def load_image_dir(path: str | Path) -> list[np.ndarray]:
     files = sorted(Path(path).glob("*.ppm"))
     if not files:
         raise ValueError(f"no .ppm files in {path}")
-    return [load_ppm(f, dtype=dtype) for f in files]
+    return [load_ppm(f) for f in files]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +240,6 @@ def make_block(cfg: ExperimentConfig, kind: str, seed: int) -> AttentionBlock:
         c=cfg.c,
         phi=cfg.phi,
         seed=seed,
-        dtype=cfg.dtype,
         logit_scale=cfg.stress_logit_scale,
     )
     if cfg.stress_weight_scale != 1.0:
@@ -387,11 +379,10 @@ def format_summary(summaries: list[KindSummary]) -> str:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured run; returns the process exit code."""
     cfg.validate()
-    dtype = cfg.dtype
     if cfg.image_dir is not None:
-        images = load_image_dir(cfg.image_dir, dtype=dtype)
+        images = load_image_dir(cfg.image_dir)
     else:
-        images = synthetic_batch(cfg.synthetic, cfg.size, cfg.batch, cfg.seed, dtype=dtype)
+        images = synthetic_batch(cfg.synthetic, cfg.size, cfg.batch, cfg.seed)
     for image in images:
         check_image(image, cfg)
 

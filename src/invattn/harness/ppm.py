@@ -40,7 +40,7 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(data[start:pos]), pos
 
 
-def load_ppm(path: str | Path, dtype: np.dtype = np.float64) -> np.ndarray:
+def load_ppm(path: str | Path) -> np.ndarray:
     """Read a P6 file into a (3, H, W) grid with values in [0, 1]."""
     data = Path(path).read_bytes()
     if data[:2] != b"P6":
@@ -63,7 +63,7 @@ def load_ppm(path: str | Path, dtype: np.dtype = np.float64) -> np.ndarray:
             f"truncated payload: need {need} bytes, have {len(payload)}", pos + len(payload)
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return (pixels.transpose(2, 0, 1).astype(np.float64) / 255.0).astype(dtype)
+    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def save_ppm(grid: np.ndarray, path: str | Path) -> None:

@@ -19,9 +19,8 @@ from .. import linalg
 from ..attention import KINDS, build_block, linearize, make_residual_branch, response_map
 from ..inversion import InversionConfig, roundtrip_check
 from ..logdet import LogDetConfig, jvp, logdet_series_from_branch
+from .experiment import EXIT_INVARIANT, EXIT_OK
 from .ppm import load_ppm, save_ppm
-
-EXIT_INVARIANT = 2
 
 
 def _norm_properties() -> str | None:
@@ -155,4 +154,4 @@ def run_selftest() -> int:
         else:
             print(f"[FAIL] {name}: {message}")
             failures += 1
-    return EXIT_INVARIANT if failures else 0
+    return EXIT_INVARIANT if failures else EXIT_OK

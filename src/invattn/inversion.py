@@ -96,7 +96,9 @@ def fixed_point_invert(
     call of ``g`` on the stack of images still iterating. Each image keeps
     its own iteration count, residual, trace and divergence flag, and
     leaves the stack once it converges, so its result equals a solve of
-    that image alone whenever ``g`` maps a stack grid by grid.
+    that image alone whenever ``g`` maps a stack grid by grid. An image
+    has converged when its final residual is at most ten times the
+    early-stop tolerance, as it is whenever it stopped early.
 
     An image whose branch output or iterate is non-finite, or whose branch
     call raises, diverges at its own iteration: its slot is NaN, its report
@@ -110,23 +112,20 @@ def fixed_point_invert(
     n = z.shape[0]
     iterations = np.zeros(n, dtype=int)
     diffs = np.full(n, np.inf)
-    early = np.zeros(n, dtype=bool)
     failed = np.zeros(n, dtype=bool)
     traces = [[] if cfg.record_trace else None for _ in range(n)]
     # the images still iterating, their targets and their iterates; an image
     # that leaves the stack has its last iterate written to x
     active, za, xa = np.arange(n), z, z
-    x = None
+    x = np.empty_like(z)
     # an expansive or overflowing g is expected here: its non-finite rows
     # are caught by the finite check below, so numpy need not warn of them
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.max_iters):
             x_next = za - _branch_step(g, xa)
-            if x is None:
-                x = np.empty(z.shape, dtype=x_next.dtype)
             rows = len(active)
             ok = np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
-            diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1).astype(np.float64)
+            diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1)
             iterations[active] = i + 1
             diffs[active] = np.where(ok, diff, np.inf)
             failed[active[~ok]] = True
@@ -135,7 +134,6 @@ def fixed_point_invert(
                     traces[image].append(float(diffs[image]))
             stay = ok & (diff >= cfg.early_stop_tol)
             if not stay.all():
-                early[active[ok & ~stay]] = True
                 x[active[~stay]] = x_next[~stay]
                 active, za, x_next = active[stay], za[stay], x_next[stay]
             xa = x_next
@@ -147,7 +145,7 @@ def fixed_point_invert(
         InversionReport(
             iterations_used=int(iterations[j]),
             final_residual=float(diffs[j]),
-            converged=bool(early[j] or diffs[j] <= cfg.early_stop_tol * 10.0),
+            converged=bool(diffs[j] <= cfg.early_stop_tol * 10.0),
             diverged=bool(failed[j]),
             trace=traces[j],
         )
@@ -235,7 +233,7 @@ def estimate_lipschitz(
             x2 = domain_sampler(rng)
         else:
             eps = _PERTURBATION_SCALES[mode - 1]
-            x2 = x1 + eps * rng.standard_normal(x1.shape).astype(x1.dtype, copy=False)
+            x2 = x1 + eps * rng.standard_normal(x1.shape)
         consider(x1, x2, f"{seed}:{p}")
     for probe in range(local_probes):
         x1 = domain_sampler(rng)

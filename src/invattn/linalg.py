@@ -1,8 +1,8 @@
 """Dense matrix primitives: norms, power iteration, spectral normalization,
 LU log-determinant, and the small-matrix exact-SVD oracle.
 
-Matrices are plain 2-D numpy arrays (row-major, float64 by default, float32
-accepted). All functions are pure.
+Matrices are plain 2-D numpy arrays, read as float64 whatever their real
+dtype. All functions are pure.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ _ORACLE_MAX_DIM = 64
 
 
 def as_matrix(m: np.ndarray) -> np.ndarray:
-    """Validate a 2-D, nonempty, all-finite matrix and return it as an array."""
-    a = np.asarray(m)
+    """Validate a 2-D, nonempty, all-finite matrix and return it as a float64 array."""
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError("empty matrix")
-    if a.dtype not in (np.float32, np.float64):
-        a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix contains non-finite entries")
     return a
@@ -40,7 +38,7 @@ def norm_l1(m: np.ndarray) -> float:
 def norm_frobenius(m: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     a = as_matrix(m)
-    return float(np.sqrt(np.square(a, dtype=np.float64).sum()))
+    return float(np.sqrt(np.square(a).sum()))
 
 
 @dataclass
@@ -74,7 +72,7 @@ def power_iteration(
     (``tol = 0`` disables early stopping). The same seed, ``iters`` and
     ``tol`` always give the same iterates.
     """
-    a = as_matrix(m).astype(np.float64, copy=False)
+    a = as_matrix(m)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rows, cols = a.shape
@@ -122,18 +120,18 @@ def spectral_normalize(m: np.ndarray, c: float, state: PowerIterState) -> np.nda
         return a
     scale = c / sigma
     if scale < 1.0:
-        return a * a.dtype.type(scale)
+        return a * scale
     return a
 
 
 def exact_svd_oracle(m: np.ndarray) -> np.ndarray:
     """All singular values of a small matrix, descending.
 
-    A direct LAPACK SVD in float64, independent of power iteration.
+    A direct LAPACK SVD, independent of power iteration.
     Restricted to min(rows, cols) <= 64; this is a test oracle, not a
     production path.
     """
-    a = as_matrix(m).astype(np.float64, copy=False)
+    a = as_matrix(m)
     rows, cols = a.shape
     if min(rows, cols) > _ORACLE_MAX_DIM:
         raise ValueError(
@@ -147,4 +145,4 @@ def lu_logabsdet(m: np.ndarray) -> tuple[float, int]:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"lu_logabsdet requires a square matrix, got {a.shape}")
-    return kernels.lu_logabsdet_kernel(a.astype(np.float64, copy=False))
+    return kernels.lu_logabsdet_kernel(a)

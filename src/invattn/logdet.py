@@ -203,7 +203,7 @@ def brute_force_logdet_from_branch(branch: Callable[[FeatureGrid], FeatureGrid],
     raises :class:`InvariantViolation`. Dimension capped at
     :data:`DENSE_ORACLE_MAX_DIM` (this is an oracle, not a production path).
     """
-    x = as_grid(x).astype(np.float64, copy=False)
+    x = as_grid(x)
     dim = x.size
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")

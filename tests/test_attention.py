@@ -369,6 +369,18 @@ class TestResidual:
         want = apply_1x1_conv(attention_apply(x, block), block.last)
         assert np.allclose(residual_branch(x, block), want, atol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+    @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_any_real_grid_is_read_as_float64(self, kind, variant, dtype):
+        block = build_block(kind, variant, 3, seed=20)
+        x = np.random.default_rng(19).integers(0, 4, (2, 3, 4, 5)).astype(dtype)
+        if dtype == np.float32:
+            x /= np.float32(3.0)
+        got = residual_branch(x, block)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, residual_branch(x.astype(np.float64), block))
+
 
 # ---------------------------------------------------------------------------
 # Squeeze
@@ -478,10 +490,9 @@ class TestBlockConstruction:
             AttentionBlock(kind=kind, variant=variant, **weights, c=block.c, phi=block.phi)
 
     @pytest.mark.parametrize("channels", [3, 12, 48])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_draws_match_an_inline_reference(self, kind, variant, dtype, channels):
+    def test_draws_match_an_inline_reference(self, kind, variant, channels):
         # the builder's draw order, written out: any change to it changes
         # every saved block and every run's records
         seed, c = 7, 0.8
@@ -489,7 +500,7 @@ class TestBlockConstruction:
 
         def draw(out_dim, in_dim):
             scale = 1.0 / np.sqrt(in_dim)
-            return rng.uniform(-scale, scale, size=(out_dim, in_dim)).astype(dtype)
+            return rng.uniform(-scale, scale, size=(out_dim, in_dim))
 
         width = max(1, channels // 2)
         want = {"focus": draw(channels, channels)}
@@ -502,16 +513,15 @@ class TestBlockConstruction:
             want["pair_scorer"] = draw(1, 2 * width)
         if variant == "invertible":
             for power_seed, role in ((seed, "focus"), (seed + 1, "last")):
-                w64 = want[role].astype(np.float64)
-                estimate = power_iteration(w64, iters=1000, tol=1e-15, seed=power_seed)
-                want[role] = spectral_normalize(w64, c, estimate).astype(dtype)
-        block = build_block(kind, variant, channels, c=c, seed=seed, dtype=dtype)
+                estimate = power_iteration(want[role], iters=1000, tol=1e-15, seed=power_seed)
+                want[role] = spectral_normalize(want[role], c, estimate)
+        block = build_block(kind, variant, channels, c=c, seed=seed)
         for role in ("focus", "last", "embed1", "embed2", "pair_scorer"):
             got = getattr(block, role)
             if role not in want:
                 assert got is None, role
                 continue
-            assert got.dtype == dtype, role
+            assert got.dtype == np.float64, role
             assert np.array_equal(got, want[role]), role
 
     def test_container_with_misshapen_weight_refused(self):
@@ -524,17 +534,23 @@ class TestBlockConstruction:
     def test_builder_enforces_bounds(self, kind):
         # the bound follows from variant and c: focus and last are bounded in
         # the invertible variant, and a noninvertible focus is its init draw
-        for dtype in (np.float64, np.float32):
-            for c in (0.5, 0.9):
-                block = build_block(kind, "invertible", 5, c=c, seed=21, dtype=dtype)
-                assert block.focus.dtype == block.last.dtype == dtype
-                assert exact_svd_oracle(block.focus)[0] <= c + 1e-6
-                assert exact_svd_oracle(block.last)[0] <= c + 1e-6
-                free = build_block(kind, "noninvertible", 5, c=c, seed=21, dtype=dtype)
-                scale = 1.0 / np.sqrt(5)
-                draw = np.random.default_rng(21).uniform(-scale, scale, size=(5, 5)).astype(dtype)
-                assert np.array_equal(free.focus, draw)
-                assert free.last is None
+        for c in (0.5, 0.9):
+            block = build_block(kind, "invertible", 5, c=c, seed=21)
+            assert block.focus.dtype == block.last.dtype == np.float64
+            assert exact_svd_oracle(block.focus)[0] <= c + 1e-6
+            assert exact_svd_oracle(block.last)[0] <= c + 1e-6
+            free = build_block(kind, "noninvertible", 5, c=c, seed=21)
+            scale = 1.0 / np.sqrt(5)
+            draw = np.random.default_rng(21).uniform(-scale, scale, size=(5, 5))
+            assert np.array_equal(free.focus, draw)
+            assert free.last is None
+
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_channels_below_one_refused_by_name(self, channels):
+        # under tier-1's warnings-as-errors, a draw at fan-in 0 or -1 would
+        # fail on a numpy warning instead
+        with pytest.raises(ValueError, match=f"channels must be >= 1, got {channels}"):
+            build_block("dot", "invertible", channels)
 
     def test_embed_width_default(self):
         block = build_block("embedded", "invertible", 5, seed=22)
@@ -559,14 +575,6 @@ class TestSerialization:
         x = random_grid(rng)
         assert np.array_equal(residual_forward(x, loaded), residual_forward(x, block))
 
-    def test_float32_precision_roundtrip(self, tmp_path):
-        block = build_block("dot", "invertible", 3, seed=27, dtype=np.float32)
-        path = tmp_path / "block.json"
-        save_block(block, path)
-        loaded = load_block(path)
-        assert loaded.focus.dtype == np.float32
-        assert np.array_equal(loaded.focus, block.focus)
-
     def test_format_and_version_checked(self):
         block = build_block("gaussian", "invertible", 3, seed=28)
         payload = block_to_dict(block)
@@ -574,16 +582,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             block_from_dict(bad)
         # version 1 stored an option, version 2 per-weight bounds and power-
-        # iteration states, and version 3 a column-sum target, that this
-        # version no longer reads
-        for version in (1, 2, 3, 99):
+        # iteration states, version 3 a column-sum target, and version 4 a
+        # precision, that this version no longer reads
+        for version in (1, 2, 3, 4, 99):
             with pytest.raises(ValueError, match="container version"):
                 block_from_dict(dict(payload, version=version))
-
-    def test_unknown_precision_refused(self):
-        payload = block_to_dict(build_block("dot", "invertible", 3, seed=27))
-        with pytest.raises(ValueError, match="precision 'float16'"):
-            block_from_dict(dict(payload, precision="float16"))
+        with pytest.raises(ValueError, match="container version 4"):
+            block_from_dict(dict(payload, version=4, precision="float64"))  # as version 4 wrote it
 
     @pytest.mark.parametrize("key", list(block_to_dict(build_block("concat", "invertible", 3))))
     def test_container_missing_a_key_refused(self, key):
@@ -634,8 +639,9 @@ class TestSerialization:
         save_block(block, path)
         parsed = json.loads(path.read_text())
         assert parsed["format"] == "invattn-block"
-        assert parsed["version"] == 4
+        assert parsed["version"] == 5
         assert "column_sum_target" not in parsed
+        assert "precision" not in parsed
         assert parsed["weights"]["pair_scorer"]["shape"] == [1, 2]
         for role, matrix in parsed["weights"].items():
             assert set(matrix) == {"shape", "data"}, role
@@ -661,13 +667,12 @@ class TestSerialization:
         payload["weights"]["focus"]["data"] = [3.0 * v for v in payload["weights"]["focus"]["data"]]
         assert np.linalg.norm(block_from_dict(payload).focus, 2) > 0.9
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("channels", [3, 12, 48, 192])
-    def test_every_built_container_loads(self, channels, dtype):
+    def test_every_built_container_loads(self, channels):
         # 192 channels (--squeeze 3 at size 64) is past the SVD oracle's limit
         for seed, kind in enumerate(ALL_KINDS):
             for c in (0.5, 0.9):
-                block = build_block(kind, "invertible", channels, c=c, seed=seed, dtype=dtype)
+                block = build_block(kind, "invertible", channels, c=c, seed=seed)
                 loaded = block_from_dict(block_to_dict(block))
                 assert np.array_equal(loaded.focus, block.focus)
                 assert np.array_equal(loaded.last, block.last)
@@ -703,10 +708,12 @@ def test_noninvertible_exponential_rows_are_distributions(kind):
 # Stacks of grids: one call on (B, C, H, W) equals B calls on (C, H, W)
 # ---------------------------------------------------------------------------
 
+# block options and the dtype of the input stack; a float32 stack is read as
+# float64, so its output is float64 too
 STACK_CONFIGS = {
-    "default": {},
-    "logit-scale": {"logit_scale": 2.5},
-    "float32": {"dtype": np.float32},
+    "default": ({}, np.float64),
+    "logit-scale": ({"logit_scale": 2.5}, np.float64),
+    "float32-grid": ({}, np.float32),
 }
 
 
@@ -718,13 +725,12 @@ def relative_gap(got, want):
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_stacked_branch_matches_loop_of_grids(kind, variant, config):
-    options = STACK_CONFIGS[config]
+    options, dtype = STACK_CONFIGS[config]
     block = build_block(kind, variant, 4, seed=32, **options)
-    dtype = options.get("dtype", np.float64)
     xs = np.random.default_rng(33).uniform(0.0, 1.0, (5, 4, 3, 5)).astype(dtype)
     stacked = residual_branch(xs, block)
     looped = np.stack([residual_branch(x, block) for x in xs])
-    assert stacked.dtype == looped.dtype == dtype
+    assert stacked.dtype == looped.dtype == np.float64
     assert relative_gap(stacked, looped) <= 1e-15
 
 
@@ -760,14 +766,15 @@ def test_normalize_response_stack_matches_loop(kind, variant):
 # Column-blocked forward
 # ---------------------------------------------------------------------------
 
+# block options and the dtype of the input grids, as in STACK_CONFIGS
 BLOCKED_CONFIGS = {
-    "default": {},
-    "logit-scale": {"logit_scale": 1.3},
-    "float32": {"dtype": np.float32},
+    "default": ({}, np.float64),
+    "logit-scale": ({"logit_scale": 1.3}, np.float64),
+    "float32-grid": ({}, np.float32),
 }
 # the blocked sum only regroups the R F products, so it agrees with the
-# whole-matrix product to a few units in the last place of the dtype
-BLOCKED_GAP = {np.float64: 1e-13, np.float32: 1e-5}
+# whole-matrix product to a few units in the last place
+BLOCKED_GAP = 1e-13
 
 
 def whole_matrix_branch(x, block):
@@ -783,8 +790,7 @@ def whole_matrix_branch(x, block):
 def test_blocked_forward_matches_whole_matrix(kind, variant, phi, config, monkeypatch):
     # 5-column slabs: m = 64 and 81 take 13 and 17 slabs, the last one ragged
     monkeypatch.setattr(attention, "_BLOCK_COLS", 5)
-    options = BLOCKED_CONFIGS[config]
-    dtype = options.get("dtype", np.float64)
+    options, dtype = BLOCKED_CONFIGS[config]
     block = build_block(kind, variant, 4, seed=40, phi=phi, **options)
     rng = np.random.default_rng(41)
     for shape in [(4, 8, 8), (4, 9, 9), (3, 4, 9, 9)]:
@@ -792,9 +798,9 @@ def test_blocked_forward_matches_whole_matrix(kind, variant, phi, config, monkey
         want_attn, want_branch = whole_matrix_branch(x, block)
         attn = grid_to_matrix(attention_apply(x, block))
         branch = grid_to_matrix(residual_branch(x, block))
-        assert attn.dtype == branch.dtype == dtype
-        assert relative_gap(attn, want_attn) <= BLOCKED_GAP[dtype]
-        assert relative_gap(branch, want_branch) <= BLOCKED_GAP[dtype]
+        assert attn.dtype == branch.dtype == np.float64
+        assert relative_gap(attn, want_attn) <= BLOCKED_GAP
+        assert relative_gap(branch, want_branch) <= BLOCKED_GAP
 
 
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
@@ -823,7 +829,7 @@ def test_blocked_forward_with_forced_zero_columns(monkeypatch):
     xs[2, :, 2, 4] = 0.0
     assert np.array_equal(raw_response(xs, block)[2, :, 14], np.zeros(15))
     _, want = whole_matrix_branch(xs, block)
-    assert relative_gap(grid_to_matrix(residual_branch(xs, block)), want) <= BLOCKED_GAP[np.float64]
+    assert relative_gap(grid_to_matrix(residual_branch(xs, block)), want) <= BLOCKED_GAP
 
 
 @pytest.mark.parametrize(

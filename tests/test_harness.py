@@ -1,5 +1,5 @@
+import argparse
 import importlib.util
-import json
 import math
 import sys
 from pathlib import Path
@@ -10,7 +10,7 @@ import pytest
 from invattn import attention
 from invattn.attention import KINDS, load_block, squeeze
 from invattn.errors import PpmParseError
-from invattn.harness.cli import main
+from invattn.harness.cli import build_parser, main
 from invattn.harness.experiment import (
     _PARSERS,
     CONFIG_TYPES,
@@ -285,7 +285,6 @@ class TestConfigPlumbing:
             {"size": 128},
             {"variant": "sideways"},
             {"vscore_floor": 1.5},
-            {"precision": 16},
             {"tol": math.inf},
             {"phi": "tanh"},
             {"c": 1.0},
@@ -484,14 +483,6 @@ class TestRunExperiment:
             assert "logdet_estimate" in record
             assert "logdet_oracle" in record
 
-    def test_float32_precision_run(self, tmp_path):
-        cfg = small_config(tmp_path, precision=32, batch=2, tol=1e-6)
-        assert run_experiment(cfg) == EXIT_OK
-        records = read_records(Path(cfg.out_dir) / "records.jsonl")
-        assert all(r["mse"] < 10.0 for r in records)
-        block = json.loads((Path(cfg.out_dir) / "block_embedded.json").read_text())
-        assert block["precision"] == "float32"
-
     def test_image_dir_source(self, tmp_path):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
@@ -681,6 +672,36 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert "unknown config key 'column_sum_target'" in capsys.readouterr().err
+
+    def test_precision_key_refused_before_out_dir_is_made(self, tmp_path, capsys):
+        # the library computes in float64 only; an old config file that asks
+        # for float32 fails loudly
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("kinds = dot\nsize = 8\nprecision = 32\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "unknown config key 'precision'" in capsys.readouterr().err
+
+    def test_precision_flag_refused_before_out_dir_is_made(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--precision", "32", "--size", "8", "--batch", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "unrecognized arguments: --precision 32" in capsys.readouterr().err
+
+    def test_every_flag_reaches_the_config(self):
+        # _config passes on only the dests that are config keys, so a flag
+        # whose config field is gone would be dropped without an error
+        handled_by_the_cli = {"command", "config", "image", "out", "pairs"}
+        subcommands = next(
+            action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+        )
+        for name, sub in subcommands.choices.items():
+            for action in sub._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                assert action.dest in CONFIG_TYPES or action.dest in handled_by_the_cli, (name, action.dest)
 
     @pytest.mark.parametrize(
         "flags, name",

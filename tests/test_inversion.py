@@ -122,6 +122,31 @@ class TestFixedPointInvert:
             if report.converged:
                 assert report.final_residual <= tol * 10.0
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_converged_is_exactly_residual_within_ten_tol(self, tol):
+        # g = 0.5 y, except 1e200 y where |y| > 10: the zero image sits at its
+        # fixed point, 1.5 and -3 converge, 20 overflows at step 2; the
+        # attention stack converges at different steps
+        def g(xs):
+            big = np.abs(xs).reshape(len(xs), -1).max(axis=1) > 10.0
+            return xs * np.where(big, 1e200, 0.5)[:, None, None, None]
+
+        scalar = np.stack([np.full((1, 2, 2), v) for v in (0.0, 1.5, 20.0, -3.0)])
+        block, z = spread_stack("embedded", 61)
+        outcomes, verdicts = set(), set()
+        for stack, branch in ((scalar, g), (z, make_residual_branch(block))):
+            for max_iters in (100, 5):
+                cfg = InversionConfig(max_iters=max_iters, early_stop_tol=tol)
+                for r in fixed_point_invert(stack, branch, cfg)[1].images:
+                    assert r.converged == (r.final_residual <= 10.0 * tol)
+                    verdicts.add(r.converged)
+                    if r.diverged:
+                        outcomes.add("diverged")
+                    else:
+                        outcomes.add("early" if r.iterations_used < max_iters else "budget")
+        assert outcomes == ({"early", "budget", "diverged"} if tol else {"budget", "diverged"})
+        assert verdicts == {True, False}
+
     def test_more_iterations_never_hurt(self):
         rng = np.random.default_rng(3)
         block = build_block("concat", "invertible", 3, seed=4)
@@ -182,6 +207,20 @@ class TestStackedSolve:
         assert report.final_residual == max(r.final_residual for _, r in solos.values())
         assert not report.diverged
         assert report.trace is None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "embedded", "dot", "concat"])
+    def test_float32_stack_solved_in_float64(self, kind):
+        # a float32 stack is read as float64: the solve and its reports are
+        # those of the stack's float64 cast
+        block, z = spread_stack(kind, seed=23)
+        branch = make_residual_branch(block)
+        cfg = InversionConfig(max_iters=60, early_stop_tol=1e-10)
+        narrow = z.astype(np.float32)
+        x, report = fixed_point_invert(narrow, branch, cfg)
+        want_x, want_report = fixed_point_invert(narrow.astype(np.float64), branch, cfg)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, want_x)
+        assert dataclasses.asdict(report) == dataclasses.asdict(want_report)
 
     @pytest.mark.parametrize("kind", ["gaussian", "embedded", "dot", "concat"])
     def test_stacked_roundtrip_equals_solo_roundtrips(self, kind):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,27 @@ def cofactor_det(m):
 
 def converged_state(m, seed=0):
     return power_iteration(m, iters=1000, tol=1e-15, seed=seed)
+
+
+# every entry point reads its matrix through as_matrix, which reads any real
+# array as float64; float32 input gives the result of its float64 cast
+MATRIX_ENTRY_POINTS = {
+    "norm_l1": norm_l1,
+    "norm_frobenius": norm_frobenius,
+    "power_iteration": lambda m: np.hstack(dataclasses.astuple(power_iteration(m, iters=50, tol=0.0, seed=3))),
+    "spectral_normalize": lambda m: spectral_normalize(m, 0.5, converged_state(m.astype(np.float64))),
+    "exact_svd_oracle": exact_svd_oracle,
+    "lu_logabsdet": lambda m: np.array(lu_logabsdet(m)),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_ENTRY_POINTS)
+def test_float32_matrix_read_as_float64(name):
+    entry = MATRIX_ENTRY_POINTS[name]
+    m = np.random.default_rng(15).standard_normal((6, 6)).astype(np.float32)
+    got = np.asarray(entry(m))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.asarray(entry(m.astype(np.float64))))
 
 
 class TestNorms:
