@@ -112,20 +112,32 @@ def _in_stacks(step, v: np.ndarray, source: str) -> np.ndarray:
 
 
 def apply_phi(x: np.ndarray, selector: str) -> np.ndarray:
-    """Apply the selected activation; output is >= 0 for every real input."""
+    """Apply the selected activation to a copy of ``x``; output is >= 0 for
+    every real input, and ``x`` is left as it was."""
+    a = np.asarray(x)
+    return _phi_in_place(a.astype(np.result_type(a, 1.0)), selector)
+
+
+def _phi_in_place(a: np.ndarray, selector: str) -> np.ndarray:
+    """:func:`apply_phi` written over the float array ``a``, which it returns."""
     if selector == "softplus":
-        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one buffer: stable at
-        # both ends and cheaper than logaddexp
-        out = np.abs(x)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        np.log1p(out, out=out)
-        return np.add(out, x, out=out, where=x > 0.0)
+        # log(1 + e^a) = max(a, 0) + log1p(e^-|a|): stable at both ends and
+        # cheaper than logaddexp; the tail is the one scratch array
+        tail = np.abs(a)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(a, 0.0, out=a)
+        a += tail
+        return a
     if selector == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(a, 0.0, out=a)
     if selector == "elu":
-        # shifted ELU: x+1 for x > 0, exp(x) otherwise; smooth at 0 and > 0
-        return np.where(x > 0.0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+        # shifted ELU: a+1 for a > 0, exp(a) otherwise; smooth at 0 and > 0
+        positive = a > 0.0
+        np.exp(a, out=a, where=~positive)
+        np.add(a, 1.0, out=a, where=positive)
+        return a
     raise ValueError(f"unknown phi selector {selector!r}; choose from {PHI_CHOICES}")
 
 
@@ -296,28 +308,33 @@ def build_block(
 # ---------------------------------------------------------------------------
 
 
-def pairwise_logits(pos: np.ndarray, block: AttentionBlock, cols: slice = slice(None)) -> np.ndarray:
+def pairwise_logits(
+    pos: np.ndarray, block: AttentionBlock, cols: slice = slice(None), out: np.ndarray | None = None
+) -> np.ndarray:
     """Scaled logits of a positions-by-channels matrix (or stack) against the
     positions ``cols``, an m x b slab of the m x m logits: ``pos pos[cols]ᵀ``
     for gaussian, ``E1 E2[cols]ᵀ`` for embedded and dot, and
     ``E1 a1 + (E2[cols] a2)ᵀ`` for concat, ``a1, a2`` the halves of the pair
-    scorer. The default takes every column."""
+    scorer. The default takes every column. They are written into ``out``
+    (a float64 array of the slab's shape) if given, else into a new array."""
     if block.kind == "gaussian":
-        logits = pos @ pos[..., cols, :].swapaxes(-1, -2)
+        logits = np.matmul(pos, pos[..., cols, :].swapaxes(-1, -2), out=out)
     else:
         e1 = pos @ block.embed1.T
         e2 = pos[..., cols, :] @ block.embed2.T
         if block.kind == "concat":
             a1, a2 = np.split(block.pair_scorer[0], 2)
-            logits = (e1 @ a1)[..., :, None] + (e2 @ a2)[..., None, :]
+            logits = np.add((e1 @ a1)[..., :, None], (e2 @ a2)[..., None, :], out=out)
         else:
-            logits = e1 @ e2.swapaxes(-1, -2)
+            logits = np.matmul(e1, e2.swapaxes(-1, -2), out=out)
     if block.logit_scale != 1.0:
-        logits = logits * block.logit_scale
+        logits *= block.logit_scale
     return logits
 
 
-def raw_response(x: FeatureGrid, block: AttentionBlock, cols: slice = slice(None)) -> np.ndarray:
+def raw_response(
+    x: FeatureGrid, block: AttentionBlock, cols: slice = slice(None), out: np.ndarray | None = None
+) -> np.ndarray:
     """Unnormalized pairwise responses, entry (i, j) = r(x_i, x_j), for every
     position i and the positions j in ``cols``: the m x m matrix by default,
     an m x b column slab otherwise; (B, m, b) for a stack of grids.
@@ -328,20 +345,25 @@ def raw_response(x: FeatureGrid, block: AttentionBlock, cols: slice = slice(None
     exponentials cannot overflow. The column shift lies within any column
     slab; the row shift needs every column. Invertible dot/concat scores pass
     through the nonnegative activation phi.
+
+    With ``out`` (a float64 array of the result's shape, such as a view of
+    a caller's workspace) the logits are written and activated there and
+    ``out`` is returned; without it a new array is. The values are the same.
     """
     x = as_grid(x)
     if x.shape[-3] != block.channels:
         raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
-    return _activate(pairwise_logits(grid_to_matrix(x), block, cols), block)
+    return _activate(pairwise_logits(grid_to_matrix(x), block, cols, out), block)
 
 
 def _activate(logits: np.ndarray, block: AttentionBlock) -> np.ndarray:
-    """Raw responses from logits: the shifted exp or phi of :func:`raw_response`."""
+    """Raw responses from logits, in place: the shifted exp or phi of
+    :func:`raw_response` overwrites ``logits``, which is returned."""
     if block.kind in _EXP_KINDS:
-        axis = -2 if block.variant == "invertible" else -1
-        return np.exp(logits - logits.max(axis=axis, keepdims=True))
+        logits -= logits.max(axis=-2 if block.variant == "invertible" else -1, keepdims=True)
+        return np.exp(logits, out=logits)
     if block.variant == "invertible":
-        return apply_phi(logits, block.phi)
+        return _phi_in_place(logits, block.phi)
     return logits
 
 
@@ -351,7 +373,9 @@ def _normalizes_rows(kind: str, variant: str) -> bool:
     return variant == "noninvertible" and kind in _EXP_KINDS
 
 
-def normalize_response(raw: np.ndarray, kind: str, variant: str) -> np.ndarray:
+def normalize_response(
+    raw: np.ndarray, kind: str, variant: str, out: np.ndarray | None = None
+) -> np.ndarray:
     """Normalize raw responses (one m x b matrix or a stack) into R(x), or
     into the slab of R(x) at those b <= m columns.
 
@@ -362,27 +386,36 @@ def normalize_response(raw: np.ndarray, kind: str, variant: str) -> np.ndarray:
     dot/concat entries are divided by the position count m. Column scaling
     acts on each column alone, so a column slab normalizes as its part of
     the whole matrix; row scaling needs the whole square matrix.
+
+    A non-finite entry raises :class:`NonFiniteError`, and a negative entry
+    under the invertible variant :class:`InvariantViolation`. The result is
+    written into ``out`` if given (a float64 array of ``raw``'s shape, which
+    may be ``raw`` itself, to normalize in place) and is ``out``; without it
+    a new array is returned. The values are the same.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    a = np.asarray(raw)
+    a = np.asarray(raw, dtype=np.float64)
     rows_normalized = _normalizes_rows(kind, variant)
     if a.ndim not in (2, 3) or a.shape[-1] > a.shape[-2] or (rows_normalized and a.shape[-1] != a.shape[-2]):
         what = "square" if rows_normalized else "an m x b slab with b <= m"
         raise ValueError(f"response matrix must be {what}, got {a.shape}")
     m, cols = a.shape[-2:]
-    a = as_matrix(a.reshape(math.prod(a.shape[:-1]), cols)).reshape(a.shape)
-    if variant == "invertible" and np.any(a < 0):
+    sums = a.sum(axis=-1 if rows_normalized else -2, keepdims=True)
+    # a non-finite entry makes its line's sum non-finite, so only then is
+    # every entry checked (finite entries may also overflow their sum)
+    if a.size == 0 or not np.isfinite(sums).all():
+        as_matrix(a.reshape(math.prod(a.shape[:-1]), cols))
+    if variant == "invertible" and a.min() < 0.0:
         raise InvariantViolation("negative raw response under invertible normalization")
     if variant == "noninvertible" and not rows_normalized:
-        return a * (1.0 / m)
-    sums = a.sum(axis=-1 if rows_normalized else -2, keepdims=True)
+        return np.multiply(a, 1.0 / m, out=out)
     dead = sums == 0.0
-    out = a * (1.0 / np.where(dead, 1.0, sums))
+    out = np.multiply(a, 1.0 / np.where(dead, 1.0, sums), out=out)
     if dead.any():
-        out = np.where(dead, 1.0 / m, out)
+        np.copyto(out, 1.0 / m, where=dead)
     return out
 
 
@@ -405,15 +438,22 @@ def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
     normalized on its own (see :func:`normalize_response`). The
     row-normalized responses (non-invertible gaussian and embedded) take one
     slab of every column.
+
+    One float64 workspace of one slab's shape is allocated per call: each
+    slab's logits are written, activated and normalized in a view of it, so
+    ``R[:, J] F[J]`` is the only new array a slab makes. It is local to the
+    call, so concurrent calls share nothing.
     """
     x = as_grid(x)
     feat = grid_to_matrix(apply_1x1_conv(x, block.focus))
     positions = feat.shape[-2]
     width = positions if _normalizes_rows(block.kind, block.variant) else _BLOCK_COLS
+    workspace = np.empty(feat.shape[:-1] + (min(width, positions),))
     out = None
     for start in range(0, positions, width):
         cols = slice(start, start + width)
-        resp = normalize_response(raw_response(x, block, cols), block.kind, block.variant)
+        slab = workspace[..., : min(width, positions - start)]
+        resp = normalize_response(raw_response(x, block, cols, slab), block.kind, block.variant, slab)
         part = resp @ feat[..., cols, :]
         if out is None:
             out = part
@@ -463,10 +503,18 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     height, width = x.shape[-2:]
     pos = grid_to_matrix(x)
     logits = pairwise_logits(pos, block)
-    raw = _activate(logits, block)
-    slope = (raw if block.kind in _EXP_KINDS else phi_slope(logits, block.phi)) * block.logit_scale
-    resp = normalize_response(raw, block.kind, block.variant)
+    if block.kind in _EXP_KINDS:
+        raw = _activate(logits, block)
+        # at logit_scale 1 the slope is raw itself: raw * 1.0 would be an exact copy
+        slope = raw if block.logit_scale == 1.0 else raw * block.logit_scale
+    else:
+        slope = phi_slope(logits, block.phi)  # before _activate overwrites the logits
+        slope *= block.logit_scale
+        raw = _activate(logits, block)
     sums = raw.sum(axis=0)
+    # past its column sums raw is needed only as R, so it is normalized in
+    # place unless the slope aliases it
+    resp = normalize_response(raw, block.kind, block.variant, None if slope is raw else raw)
     inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
     focus_t = block.focus.T
     feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum

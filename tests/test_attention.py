@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from invattn.attention import (
     squeeze,
     unsqueeze,
 )
-from invattn.errors import InvariantViolation
+from invattn.errors import InvariantViolation, NonFiniteError
 from invattn.linalg import exact_svd_oracle, norm_frobenius, norm_l1, power_iteration, spectral_normalize
 
 ALL_KINDS = ("gaussian", "embedded", "dot", "concat")
@@ -851,3 +852,149 @@ def test_row_normalized_response_refuses_a_column_slab(kind):
     raw = np.ones((6, 6))
     with pytest.raises(ValueError, match="square"):
         normalize_response(raw[:, :3], kind, "noninvertible")
+
+
+# ---------------------------------------------------------------------------
+# One slab workspace per forward call
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated during ``fn()``."""
+    fn()  # a first call settles any one-time allocation
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# most bytes one branch call may hold, in units of one (B, m, 256) float64
+# slab: the workspace itself, plus the softplus scratch for dot and concat
+BRANCH_PEAK_SLABS = {"gaussian": 1.25, "embedded": 1.25, "dot": 2.25, "concat": 2.25}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("shape", [(12, 32, 32), (2, 12, 32, 32)])
+def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape):
+    block = build_block(kind, "invertible", 12, seed=45)
+    x = np.random.default_rng(46).uniform(0.0, 1.0, shape)
+    slab_bytes = math.prod(shape[:-3]) * 32 * 32 * attention._BLOCK_COLS * 8
+    peak = traced_peak(lambda: residual_branch(x, block))
+    assert peak <= BRANCH_PEAK_SLABS[kind] * slab_bytes, f"{peak / slab_bytes:.2f} slabs"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("logit_scale", [1.0, 1.3])
+def test_linearize_holds_at_most_three_square_arrays(kind, logit_scale):
+    # the m x m arrays: the logits, activated in place into raw and then
+    # normalized in place into R unless the slope aliases raw, and the
+    # slope; two for the exp kinds, whose slope at logit_scale 1 is raw
+    # itself, and three for softplus, whose activation takes one scratch.
+    # The rest are a few m x C arrays.
+    block = build_block(kind, "invertible", 12, seed=47, logit_scale=logit_scale)
+    x = np.random.default_rng(48).uniform(0.0, 1.0, (12, 32, 32))
+    m = 32 * 32
+    squares = 2 if kind in attention._EXP_KINDS else 3
+    peak = traced_peak(lambda: attention.linearize(block, x))
+    assert peak <= (squares * m * m + 8 * m * 12) * 8, f"{peak / (m * m * 8):.3f} m x m arrays"
+
+
+def slab_buffer(shape):
+    """A float64 view of ``shape`` into a wider workspace, as the forward's
+    ragged last slab is: its rows are strided past its own width."""
+    return np.full(shape[:-1] + (shape[-1] + 3,), np.nan)[..., : shape[-1]]
+
+
+@pytest.mark.parametrize("logit_scale", [1.0, 1.3])
+@pytest.mark.parametrize("phi", PHI_CHOICES)
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_out_changes_no_response_value(kind, variant, phi, logit_scale):
+    block = build_block(kind, variant, 4, seed=49, phi=phi, logit_scale=logit_scale)
+    xs = np.random.default_rng(50).uniform(0.0, 1.0, (3, 4, 3, 5))
+    xs[1, :, 0, 0] = 0.0  # zero positions: dead relu dot columns
+    xs[2, :, 2, 4] = 0.0
+    rows_normalized = variant == "noninvertible" and kind in attention._EXP_KINDS
+    slabs = [slice(None)] if rows_normalized else [slice(None), slice(0, 4), slice(12, 16)]  # 15 = 12 + 3
+    for x in (xs, xs[1]):
+        for cols in slabs:
+            want_raw = raw_response(x, block, cols)
+            buf = slab_buffer(want_raw.shape)
+            got_raw = raw_response(x, block, cols, buf)
+            assert got_raw is buf
+            assert np.array_equal(got_raw, want_raw)
+            want = normalize_response(want_raw, kind, variant)
+            got = normalize_response(got_raw, kind, variant, buf)
+            assert got is buf
+            assert np.array_equal(got, want)
+            other = normalize_response(want_raw, kind, variant, slab_buffer(want_raw.shape))
+            assert np.array_equal(other, want)
+
+
+@pytest.mark.parametrize(
+    "kind, variant",
+    [("gaussian", "invertible"), ("dot", "invertible"), ("embedded", "noninvertible"), ("concat", "noninvertible")],
+)
+def test_out_normalizes_dead_lines_as_without(kind, variant):
+    raw = np.random.default_rng(51).uniform(0.1, 1.0, (2, 6, 6))
+    raw[0, :, 4] = 0.0  # a dead column
+    raw[1, 2, :] = 0.0  # a dead row
+    want = normalize_response(raw, kind, variant)
+    buf = raw.copy()
+    assert normalize_response(buf, kind, variant, buf) is buf
+    assert np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_out_raises_the_same_errors(kind, variant):
+    raw = np.random.default_rng(52).uniform(0.1, 1.0, (2, 5, 5))
+    for bad in (np.inf, -np.inf, np.nan):
+        edited = raw.copy()
+        edited[1, 3, 2] = bad
+        for out in (None, slab_buffer(raw.shape), edited):
+            with pytest.raises(NonFiniteError):
+                normalize_response(edited, kind, variant, out)
+    negative = raw.copy()
+    negative[0, 1, 1] = -0.5
+    for out in (None, slab_buffer(raw.shape)):
+        if variant == "invertible":
+            with pytest.raises(InvariantViolation):
+                normalize_response(negative, kind, variant, out)
+        else:
+            normalize_response(negative, kind, variant, out)
+    # finite entries whose line sums overflow raise nothing, with or without out
+    huge = np.full((5, 5), 1e308)
+    with np.errstate(over="ignore"):
+        want = normalize_response(huge, kind, variant)
+        got = normalize_response(huge, kind, variant, slab_buffer(huge.shape))
+    assert np.array_equal(got, want)
+
+
+SOFTPLUS_EDGES = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])
+
+
+def test_forward_softplus_is_apply_phi_bit_for_bit():
+    x = np.concatenate([SOFTPLUS_EDGES, np.random.default_rng(53).normal(0.0, 30.0, 1000)])
+    block = build_block("dot", "invertible", 2, seed=54)
+    logits = x.copy()
+    activated = attention._activate(logits, block)  # the forward's in-place sequence
+    assert activated is logits
+    assert np.array_equal(activated, apply_phi(x, "softplus"))
+    # the out-of-place form: log1p(e^-|x|), plus x where x > 0
+    tail = np.log1p(np.exp(-np.abs(x)))
+    reference = np.where(x > 0.0, tail + x, tail)
+    assert np.array_equal(activated, reference)
+    assert np.array_equal(np.signbit(activated), np.signbit(reference))
+
+
+@pytest.mark.parametrize("phi", PHI_CHOICES)
+def test_apply_phi_leaves_its_input_unchanged(phi):
+    x = np.concatenate([SOFTPLUS_EDGES, np.random.default_rng(55).normal(0.0, 30.0, 100)])
+    before = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        apply_phi(x, phi)
+    assert np.array_equal(x, before)
+    assert np.array_equal(np.signbit(x), np.signbit(before))
