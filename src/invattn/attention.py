@@ -403,6 +403,9 @@ def normalize_response(
         what = "square" if rows_normalized else "an m x b slab with b <= m"
         raise ValueError(f"response matrix must be {what}, got {a.shape}")
     m, cols = a.shape[-2:]
+    if variant == "noninvertible" and not rows_normalized:
+        as_matrix(a.reshape(math.prod(a.shape[:-1]), cols))
+        return np.multiply(a, 1.0 / m, out=out)
     sums = a.sum(axis=-1 if rows_normalized else -2, keepdims=True)
     # a non-finite entry makes its line's sum non-finite, so only then is
     # every entry checked (finite entries may also overflow their sum)
@@ -410,8 +413,6 @@ def normalize_response(
         as_matrix(a.reshape(math.prod(a.shape[:-1]), cols))
     if variant == "invertible" and a.min() < 0.0:
         raise InvariantViolation("negative raw response under invertible normalization")
-    if variant == "noninvertible" and not rows_normalized:
-        return np.multiply(a, 1.0 / m, out=out)
     dead = sums == 0.0
     out = np.multiply(a, 1.0 / np.where(dead, 1.0, sums), out=out)
     if dead.any():
@@ -505,16 +506,14 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     logits = pairwise_logits(pos, block)
     if block.kind in _EXP_KINDS:
         raw = _activate(logits, block)
-        # at logit_scale 1 the slope is raw itself: raw * 1.0 would be an exact copy
-        slope = raw if block.logit_scale == 1.0 else raw * block.logit_scale
+        slope = raw * block.logit_scale
     else:
         slope = phi_slope(logits, block.phi)  # before _activate overwrites the logits
         slope *= block.logit_scale
         raw = _activate(logits, block)
     sums = raw.sum(axis=0)
-    # past its column sums raw is needed only as R, so it is normalized in
-    # place unless the slope aliases it
-    resp = normalize_response(raw, block.kind, block.variant, None if slope is raw else raw)
+    # past its column sums raw is needed only as R, so it is normalized in place
+    resp = normalize_response(raw, block.kind, block.variant, raw)
     inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
     focus_t = block.focus.T
     feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum

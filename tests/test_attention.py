@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -889,10 +890,9 @@ def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape):
 @pytest.mark.parametrize("logit_scale", [1.0, 1.3])
 def test_linearize_holds_at_most_three_square_arrays(kind, logit_scale):
     # the m x m arrays: the logits, activated in place into raw and then
-    # normalized in place into R unless the slope aliases raw, and the
-    # slope; two for the exp kinds, whose slope at logit_scale 1 is raw
-    # itself, and three for softplus, whose activation takes one scratch.
-    # The rest are a few m x C arrays.
+    # normalized in place into R, and the slope; two for the exp kinds and
+    # three for softplus, whose activation takes one scratch. The rest are
+    # a few m x C arrays.
     block = build_block(kind, "invertible", 12, seed=47, logit_scale=logit_scale)
     x = np.random.default_rng(48).uniform(0.0, 1.0, (12, 32, 32))
     m = 32 * 32
@@ -965,12 +965,17 @@ def test_out_raises_the_same_errors(kind, variant):
                 normalize_response(negative, kind, variant, out)
         else:
             normalize_response(negative, kind, variant, out)
-    # finite entries whose line sums overflow raise nothing, with or without out
+    # finite entries whose line sums overflow raise nothing, with or without
+    # out; only a line-summing normalization warns of the overflow
     huge = np.full((5, 5), 1e308)
-    with np.errstate(over="ignore"):
-        want = normalize_response(huge, kind, variant)
-        got = normalize_response(huge, kind, variant, slab_buffer(huge.shape))
-    assert np.array_equal(got, want)
+    divides_by_m = variant == "noninvertible" and kind not in attention._EXP_KINDS
+    results = []
+    for out in (None, slab_buffer(huge.shape)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append(normalize_response(huge, kind, variant, out))
+        assert [str(w.message) for w in caught] == ([] if divides_by_m else ["overflow encountered in reduce"])
+    assert np.array_equal(results[1], results[0])
 
 
 SOFTPLUS_EDGES = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])
