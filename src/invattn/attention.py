@@ -141,17 +141,6 @@ def _phi_in_place(a: np.ndarray, selector: str) -> np.ndarray:
     raise ValueError(f"unknown phi selector {selector!r}; choose from {PHI_CHOICES}")
 
 
-def phi_slope(x: np.ndarray, selector: str) -> np.ndarray:
-    """Derivative of :func:`apply_phi` at ``x``; relu takes slope 0 at 0."""
-    if selector == "softplus":
-        return 0.5 * (1.0 + np.tanh(0.5 * x))  # the logistic sigmoid, stable at both ends
-    if selector == "relu":
-        return (x > 0.0).astype(x.dtype)
-    if selector == "elu":
-        return np.exp(np.minimum(x, 0.0))
-    raise ValueError(f"unknown phi selector {selector!r}; choose from {PHI_CHOICES}")
-
-
 # ---------------------------------------------------------------------------
 # 1x1 convolutions
 # ---------------------------------------------------------------------------
@@ -346,19 +335,15 @@ def raw_response(
     slab; the row shift needs every column. Invertible dot/concat scores pass
     through the nonnegative activation phi.
 
-    With ``out`` (a float64 array of the result's shape, such as a view of
-    a caller's workspace) the logits are written and activated there and
-    ``out`` is returned; without it a new array is. The values are the same.
+    The shifted exp or phi overwrites the logits in place. With ``out`` (a
+    float64 array of the result's shape, such as a view of a caller's
+    workspace) the logits are written and activated there and ``out`` is
+    returned; without it a new array is. The values are the same.
     """
     x = as_grid(x)
     if x.shape[-3] != block.channels:
         raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[-3]}")
-    return _activate(pairwise_logits(grid_to_matrix(x), block, cols, out), block)
-
-
-def _activate(logits: np.ndarray, block: AttentionBlock) -> np.ndarray:
-    """Raw responses from logits, in place: the shifted exp or phi of
-    :func:`raw_response` overwrites ``logits``, which is returned."""
+    logits = pairwise_logits(grid_to_matrix(x), block, cols, out)
     if block.kind in _EXP_KINDS:
         logits -= logits.max(axis=-2 if block.variant == "invertible" else -1, keepdims=True)
         return np.exp(logits, out=logits)
@@ -476,9 +461,11 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     one grid ``x``, as a map from a ``(P,) + x.shape`` direction stack to the
     stack of J_g(x) V.
 
-    The logits L are evaluated once, and raw = phi(L) as in
-    :func:`raw_response` (exp(L) for the exp kinds, whose column shift the
-    normalization cancels, so their slope phi'(L) is raw itself). Every
+    raw = phi(L) comes from :func:`raw_response`, which evaluates the
+    logits L once, and the slope phi'(L) is read off raw: raw itself for
+    the exp kinds (exp(L), whose column shift the normalization cancels),
+    1 - e^-raw for softplus (the logistic, exact where 1 + tanh(L/2)
+    rounds to 0), min(raw, 1) for elu and [raw > 0] for relu. Every
     kind's logit step is ``dL = dX Pᵀ + Q dXᵀ``, with E1, E2 the embeddings
     and a1, a2 the pair scorer's halves:
 
@@ -499,18 +486,20 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     x = as_grid(x)
     if x.ndim != 3:
         raise ValueError(f"linearize takes one (C, H, W) grid, got shape {x.shape}")
-    if x.shape[0] != block.channels:
-        raise ValueError(f"block expects {block.channels} channels, grid has {x.shape[0]}")
     height, width = x.shape[-2:]
-    pos = grid_to_matrix(x)
-    logits = pairwise_logits(pos, block)
+    raw = raw_response(x, block)
     if block.kind in _EXP_KINDS:
-        raw = _activate(logits, block)
-        slope = raw * block.logit_scale
+        slope = raw.copy()
+    elif block.phi == "softplus":
+        slope = np.negative(raw)
+        np.expm1(slope, out=slope)
+        np.negative(slope, out=slope)
+    elif block.phi == "elu":
+        slope = np.minimum(raw, 1.0)
     else:
-        slope = phi_slope(logits, block.phi)  # before _activate overwrites the logits
-        slope *= block.logit_scale
-        raw = _activate(logits, block)
+        slope = np.greater(raw, 0.0, out=np.empty_like(raw))
+    slope *= block.logit_scale
+    pos = grid_to_matrix(x)
     sums = raw.sum(axis=0)
     # past its column sums raw is needed only as R, so it is normalized in place
     resp = normalize_response(raw, block.kind, block.variant, raw)

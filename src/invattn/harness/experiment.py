@@ -35,7 +35,7 @@ from .ppm import load_ppm, save_ppm
 SYNTHETIC_SOURCES = ("gradient", "checkerboard", "gaussian-noise")
 _VSCORE_MSE_LIMIT = 10.0  # an image counts as reconstructed below this MSE
 # memory guard for what stays quadratic in the m grid positions: linearize's
-# two or three m x m arrays and its (P, m, m) q, the row-normalized
+# two m x m arrays and its (P, m, m) q, the row-normalized
 # non-invertible branch, and response_map (the column-normalized forward
 # holds one (m, 256) workspace slab per grid)
 _MAX_IMAGE_SIZE = 64

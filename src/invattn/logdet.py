@@ -58,8 +58,8 @@ class LogDetEstimate:
 
     ``value`` is exactly the sum of ``per_term_contributions``;
     ``sample_variance`` is the ddof-1 variance of the per-probe series
-    totals; ``divergence_warning`` flags a non-decaying tail (last term at
-    least as large as the first), the symptom of a branch outside the
+    totals; ``divergence_warning`` flags a growing tail (last term larger
+    in magnitude than the first), the symptom of a branch outside the
     series' validity region.
     """
 

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from invattn import attention, logdet
-from invattn.attention import KINDS, build_block, grid_to_matrix, make_residual_branch, pairwise_logits
+from invattn.attention import (
+    KINDS,
+    PHI_CHOICES,
+    build_block,
+    grid_to_matrix,
+    make_residual_branch,
+    pairwise_logits,
+)
 from invattn.errors import InvariantViolation
 from invattn.logdet import (
     LogDetConfig,
@@ -162,10 +169,9 @@ class TestJvp:
 
 
 LINEARIZE_CONFIGS = {
-    "softplus": {},
-    "elu": {"phi": "elu"},
-    "relu": {"phi": "relu"},
+    **{phi: {"phi": phi} for phi in PHI_CHOICES},
     "logit_scale": {"logit_scale": 3.0},
+    "logit_scale_150": {"logit_scale": 150.0},
 }
 
 
@@ -190,6 +196,13 @@ class TestLinearize:
             # small relu column sums curve the response: the reference's
             # O(eps^2) truncation is 2e-8 to 7e-8 relative at eps = 1e-5
             eps = 1e-6
+        if config == "logit_scale_150":
+            # concat has a column of logits all below -37, where the logistic
+            # as 0.5 (1 + tanh(L/2)) rounds to 0 while softplus(L) ~ e^L stays
+            # positive and normalizes to O(1)
+            if kind == "concat":
+                assert pairwise_logits(grid_to_matrix(x), block).max(axis=0).min() < -37.0
+            eps = 1e-7  # at 1e-5 the gaussian reference's truncation reads 9.7e-7
         assert_matches_finite_difference(block, x, rng.standard_normal((6, 4, 3, 5)), eps)
 
     def test_dead_column_has_zero_derivative(self):
