@@ -31,7 +31,7 @@ FeatureGrid = np.ndarray
 
 KINDS = ("gaussian", "embedded", "dot", "concat")
 VARIANTS = ("invertible", "noninvertible")
-PHI_CHOICES = ("softplus", "relu", "elu")
+PHI_CHOICES = ("softplus", "elu")
 _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
@@ -130,8 +130,6 @@ def _phi_in_place(a: np.ndarray, selector: str) -> np.ndarray:
         np.maximum(a, 0.0, out=a)
         a += tail
         return a
-    if selector == "relu":
-        return np.maximum(a, 0.0, out=a)
     if selector == "elu":
         # shifted ELU: a+1 for a > 0, exp(a) otherwise; smooth at 0 and > 0
         positive = a > 0.0
@@ -465,9 +463,9 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     logits L once, and the slope phi'(L) is read off raw: raw itself for
     the exp kinds (exp(L), whose column shift the normalization cancels),
     1 - e^-raw for softplus (the logistic, exact where 1 + tanh(L/2)
-    rounds to 0), min(raw, 1) for elu and [raw > 0] for relu. Every
-    kind's logit step is ``dL = dX Pᵀ + Q dXᵀ``, with E1, E2 the embeddings
-    and a1, a2 the pair scorer's halves:
+    rounds to 0) and min(raw, 1) for elu. Every kind's logit step is
+    ``dL = dX Pᵀ + Q dXᵀ``, with E1, E2 the embeddings and a1, a2 the pair
+    scorer's halves:
 
         kind           P                    Q
         gaussian       X                    X
@@ -478,8 +476,8 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     g = R F W_lᵀ; so for q = logit_scale phi'(L) * dL,
     ``dR = (q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``,
     with 1/s folded into F so that dR is never formed. A dead column (sum
-    zero, filled uniform) has zero derivative; relu has slope 0 at 0. Each
-    call splits its stack with :func:`_in_stacks`.
+    zero, filled uniform) has zero derivative. Each call splits its stack
+    with :func:`_in_stacks`.
     """
     if block.variant != "invertible":
         raise ValueError("linearize requires an invertible-variant block")
@@ -494,10 +492,8 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
         slope = np.negative(raw)
         np.expm1(slope, out=slope)
         np.negative(slope, out=slope)
-    elif block.phi == "elu":
-        slope = np.minimum(raw, 1.0)
     else:
-        slope = np.greater(raw, 0.0, out=np.empty_like(raw))
+        slope = np.minimum(raw, 1.0)
     slope *= block.logit_scale
     pos = grid_to_matrix(x)
     sums = raw.sum(axis=0)

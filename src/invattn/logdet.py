@@ -20,6 +20,7 @@ to the stack of its per-grid outputs; every direction argument is a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,8 +85,8 @@ def jvp(
     error otherwise. Non-finite output of ``g`` raises
     :class:`FloatingPointError`.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     x = as_grid(x)
     v = np.asarray(v)
     if v.shape[1:] != x.shape:

@@ -90,7 +90,7 @@ class TestFeatureGrid:
 
 
 class TestPhi:
-    @pytest.mark.parametrize("selector", ["softplus", "relu", "elu"])
+    @pytest.mark.parametrize("selector", PHI_CHOICES)
     def test_nonnegative_everywhere(self, selector):
         values = np.array([-1e6, -50.0, -1.0, 0.0, 1.0, 50.0, 1e6])
         assert np.all(apply_phi(values, selector) >= 0.0)
@@ -123,8 +123,9 @@ class TestPhi:
         assert np.all(np.abs(vals - 1.0) < 1e-8)
 
     def test_unknown_selector(self):
-        with pytest.raises(ValueError):
-            apply_phi(np.zeros(2), "tanh")
+        for selector in ("tanh", "relu"):
+            with pytest.raises(ValueError, match="unknown phi selector"):
+                apply_phi(np.zeros(2), selector)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +305,10 @@ class TestNormalizeResponse:
 
 class TestAttentionApply:
     def test_identity_response_and_identity_focus(self):
-        # relu of the delta-pattern scores renormalizes to the identity map,
-        # so attention with an identity focus returns the input
+        # four regular-simplex positions (unit norm, pairwise dot -1/3) at
+        # logit scale 3000: the diagonal logits are 3000 and the others
+        # -1000, where softplus underflows to 0, so the response is exactly
+        # the identity and attention with an identity focus returns the input
         eye4 = np.eye(4)
         block = AttentionBlock(
             kind="dot",
@@ -314,9 +317,11 @@ class TestAttentionApply:
             last=eye4.copy(),
             embed1=eye4.copy(),
             embed2=eye4.copy(),
-            phi="relu",
+            logit_scale=3000.0,
         )
-        x = matrix_to_grid(np.eye(4), 2, 2)
+        simplex = np.array([[1, 1, 1, 0], [1, -1, -1, 0], [-1, 1, -1, 0], [-1, -1, 1, 0]]) / math.sqrt(3.0)
+        x = matrix_to_grid(simplex, 2, 2)
+        assert np.array_equal(response_map(x, block), eye4)
         assert np.allclose(attention_apply(x, block), x, atol=1e-15)
 
     def test_constant_columns_average_feature_rows(self):
@@ -664,6 +669,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="logit_scale must be finite"):
             block_from_dict(payload)
 
+    def test_relu_refused_at_every_constructor(self, tmp_path):
+        # relu breaks the contraction of invertible dot and concat blocks, the
+        # only blocks phi acts on, so it is no phi choice
+        with pytest.raises(ValueError, match="unknown phi 'relu'"):
+            build_block("dot", "invertible", 4, phi="relu")
+        with pytest.raises(ValueError, match="unknown phi 'relu'"):
+            AttentionBlock(kind="dot", variant="invertible", focus=np.eye(3), last=np.eye(3),
+                           embed1=np.eye(3), embed2=np.eye(3), phi="relu")
+        payload = block_to_dict(build_block("concat", "invertible", 3, seed=27))
+        payload["phi"] = "relu"
+        with pytest.raises(ValueError, match="unknown phi 'relu'"):
+            block_from_dict(payload)
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unknown phi 'relu'"):
+            load_block(path)
+
     def test_noninvertible_container_keeps_its_free_focus(self):
         payload = block_to_dict(build_block("dot", "noninvertible", 12, seed=3))
         payload["weights"]["focus"]["data"] = [3.0 * v for v in payload["weights"]["focus"]["data"]]
@@ -736,11 +758,30 @@ def test_stacked_branch_matches_loop_of_grids(kind, variant, config):
     assert relative_gap(stacked, looped) <= 1e-15
 
 
+def dead_column_block():
+    """A dot block whose softplus columns underflow to zero: embed1 = I and
+    embed2 = -I at logit scale 1e4 give logits -1e4 x_i·x_j, and softplus is
+    0 below about -745, so column j is dead where x_i·x_j > 0.0745 for
+    every position i."""
+    eye4 = np.eye(4)
+    return AttentionBlock(kind="dot", variant="invertible", focus=0.5 * eye4, last=0.5 * eye4,
+                          embed1=eye4, embed2=-eye4, logit_scale=1e4)
+
+
+def dead_column_grids(rng, shape):
+    """Grids of ``shape`` (4 channels) for :func:`dead_column_block`: every
+    position has 1 in channel 0 and uniform(-1, 1) elsewhere, and position 0
+    is e1, whose dot with every position is 1, so column 0 is always dead."""
+    x = rng.uniform(-1.0, 1.0, shape)
+    x[..., 0, :, :] = 1.0
+    x[..., 1:, 0, 0] = 0.0
+    return x
+
+
 def test_stacked_branch_with_a_forced_zero_column():
-    # a zero position has a zero embedding, so its relu(dot) column is zero
-    block = build_block("dot", "invertible", 4, seed=34, phi="relu")
-    xs = np.random.default_rng(35).uniform(0.0, 1.0, (3, 4, 3, 5))
-    xs[1, :, 0, 0] = 0.0
+    # every grid has dead columns, column 0 among them
+    block = dead_column_block()
+    xs = dead_column_grids(np.random.default_rng(35), (3, 4, 3, 5))
     raw = raw_response(xs, block)
     assert np.array_equal(raw[1, :, 0], np.zeros(15))
     resp = response_map(xs, block)
@@ -768,10 +809,12 @@ def test_normalize_response_stack_matches_loop(kind, variant):
 # Column-blocked forward
 # ---------------------------------------------------------------------------
 
-# block options and the dtype of the input grids, as in STACK_CONFIGS
+# block options and the dtype of the input grids, as in STACK_CONFIGS; logit
+# scale 150 stretches the logits, so a column's responses span decades
 BLOCKED_CONFIGS = {
     "default": ({}, np.float64),
     "logit-scale": ({"logit_scale": 1.3}, np.float64),
+    "logit-scale-150": ({"logit_scale": 150.0}, np.float64),
     "float32-grid": ({}, np.float32),
 }
 # the blocked sum only regroups the R F products, so it agrees with the
@@ -822,13 +865,12 @@ def test_one_slab_forward_is_the_whole_matrix_product(kind, variant):
 
 
 def test_blocked_forward_with_forced_zero_columns(monkeypatch):
-    # the relu dead columns of test_stacked_branch_with_a_forced_zero_column,
-    # one in the first slab and one in the ragged last slab (15 = 4 + 4 + 4 + 3)
+    # the dead columns of test_stacked_branch_with_a_forced_zero_column, in
+    # the first slab and in the ragged last slab (15 = 4 + 4 + 4 + 3)
     monkeypatch.setattr(attention, "_BLOCK_COLS", 4)
-    block = build_block("dot", "invertible", 4, seed=34, phi="relu")
-    xs = np.random.default_rng(35).uniform(0.0, 1.0, (3, 4, 3, 5))
-    xs[1, :, 0, 0] = 0.0
-    xs[2, :, 2, 4] = 0.0
+    block = dead_column_block()
+    xs = dead_column_grids(np.random.default_rng(35), (3, 4, 3, 5))
+    assert np.array_equal(raw_response(xs, block)[:, :, 0], np.zeros((3, 15)))
     assert np.array_equal(raw_response(xs, block)[2, :, 14], np.zeros(15))
     _, want = whole_matrix_branch(xs, block)
     assert relative_gap(grid_to_matrix(residual_branch(xs, block)), want) <= BLOCKED_GAP
@@ -891,7 +933,7 @@ def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape):
     [("gaussian", "softplus"), ("embedded", "softplus")]
     + [(kind, phi) for kind in ("dot", "concat") for phi in PHI_CHOICES],
 )
-@pytest.mark.parametrize("logit_scale", [1.0, 1.3])
+@pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
 def test_linearize_holds_at_most_two_square_arrays(kind, phi, logit_scale):
     # the m x m arrays: the raw responses, normalized in place into R, and
     # the slope read off them (softplus' activation scratch is freed before
@@ -909,15 +951,26 @@ def slab_buffer(shape):
     return np.full(shape[:-1] + (shape[-1] + 3,), np.nan)[..., : shape[-1]]
 
 
-@pytest.mark.parametrize("logit_scale", [1.0, 1.3])
+@pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
 @pytest.mark.parametrize("phi", PHI_CHOICES)
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_out_changes_no_response_value(kind, variant, phi, logit_scale):
     block = build_block(kind, variant, 4, seed=49, phi=phi, logit_scale=logit_scale)
-    xs = np.random.default_rng(50).uniform(0.0, 1.0, (3, 4, 3, 5))
-    xs[1, :, 0, 0] = 0.0  # zero positions: dead relu dot columns
-    xs[2, :, 2, 4] = 0.0
+    assert_out_changes_no_response_value(block, np.random.default_rng(50).uniform(0.0, 1.0, (3, 4, 3, 5)))
+
+
+def test_out_changes_no_dead_column_value():
+    block = dead_column_block()
+    xs = dead_column_grids(np.random.default_rng(50), (3, 4, 3, 5))
+    assert not raw_response(xs, block).sum(axis=-2).all()
+    assert_out_changes_no_response_value(block, xs)
+
+
+def assert_out_changes_no_response_value(block, xs):
+    """Raw and normalized responses written into a strided buffer, whole and
+    in column slabs, equal those of a new array, for a stack and one grid."""
+    kind, variant = block.kind, block.variant
     rows_normalized = variant == "noninvertible" and kind in attention._EXP_KINDS
     slabs = [slice(None)] if rows_normalized else [slice(None), slice(0, 4), slice(12, 16)]  # 15 = 12 + 3
     for x in (xs, xs[1]):

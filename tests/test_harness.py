@@ -10,6 +10,7 @@ import pytest
 from invattn import attention
 from invattn.attention import KINDS, load_block, squeeze
 from invattn.errors import PpmParseError
+from invattn.harness import experiment
 from invattn.harness.cli import build_parser, main
 from invattn.harness.experiment import (
     _PARSERS,
@@ -272,6 +273,10 @@ class TestConfigPlumbing:
         }
         assert unhandled == {}
 
+    def test_relu_phi_refused(self):
+        with pytest.raises(ValueError, match="unknown phi 'relu'"):
+            config_from_mapping({"phi": "relu"})
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
@@ -322,6 +327,21 @@ def test_benchmark_trace_targets_exist():
     for target in targets:
         module_name, attr = target.split(":")
         assert callable(getattr(importlib.import_module(module_name), attr, None)), target
+
+
+def test_benchmark_setup_builds_every_first_job_block(tmp_path, monkeypatch):
+    # the benchmark builds the first job's blocks before timing, with the
+    # keywords below; a library change that drops one of them must fail here
+    monkeypatch.setitem(sys.modules, "bench_trace", load_bench_trace())
+    workloads = load_bench_module("bench_workloads").WORKLOADS
+    for workload in workloads.values():
+        first = workload.config(ExperimentConfig, 0, 0, tmp_path / "in", tmp_path / "out")
+        first.validate()
+        channels = 3 * 4**first.squeeze_levels
+        for k, kind in enumerate(first.kinds):
+            block = experiment.build_block(kind, first.variant, channels, c=first.c, phi=first.phi,
+                                           seed=first.seed + k)
+            assert (block.kind, block.channels, block.phi) == (kind, channels, first.phi)
 
 
 def test_traced_run_records_every_span_and_matches_untraced(tmp_path):
@@ -612,11 +632,22 @@ class TestCli:
         assert out.exists()
 
     def test_invert_refuses_a_wrong_preimage(self, capsys):
-        # phi = relu breaks the dot block's contraction: the solve converges,
-        # but to another preimage
-        assert main(["invert", "--kind", "dot", "--phi", "relu", "--size", "8", "--seed", "0",
-                     "--synthetic", "gaussian-noise"]) == EXIT_INVARIANT
+        # this gaussian block's raw inner-product logits break its contraction:
+        # the solve converges in 23 iterations, but to another preimage (MSE
+        # 1.8e4). Logits that no longer break it (L2-distance logits, item 16
+        # of the roadmap) will need another wrong-preimage case here.
+        assert main(["invert", "--kind", "gaussian", "--size", "8", "--squeeze", "1", "--seed", "1",
+                     "--synthetic", "gradient"]) == EXIT_INVARIANT
         assert "input not reconstructed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "invert"])
+    def test_relu_phi_is_config_error(self, tmp_path, capsys, command):
+        # relu breaks the contraction of invertible dot and concat blocks
+        out = tmp_path / "out"
+        flags = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--phi", "relu", "--size", "8", *flags]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "invalid choice: 'relu'" in capsys.readouterr().err
 
     def test_logdet_subcommand(self):
         assert main(["logdet", "--kind", "embedded", "--size", "4", "--squeeze", "0",

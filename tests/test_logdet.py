@@ -8,10 +8,12 @@ from invattn import attention, logdet
 from invattn.attention import (
     KINDS,
     PHI_CHOICES,
+    AttentionBlock,
     build_block,
     grid_to_matrix,
     make_residual_branch,
     pairwise_logits,
+    raw_response,
 )
 from invattn.errors import InvariantViolation
 from invattn.logdet import (
@@ -115,6 +117,19 @@ class TestJvp:
         with pytest.raises(ValueError):
             jvp(lambda x: x, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_refused_before_g_is_called(self, eps):
+        # a NaN step passed eps <= 0 and surfaced as non-finite output of g
+        calls = []
+
+        def g(y):
+            calls.append(y.shape)
+            return y
+
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            jvp(g, np.zeros((1, 2, 2)), np.ones((1, 1, 2, 2)), eps=eps)
+        assert calls == []
+
     def test_single_direction_refused(self):
         calls = []
 
@@ -172,6 +187,7 @@ LINEARIZE_CONFIGS = {
     **{phi: {"phi": phi} for phi in PHI_CHOICES},
     "logit_scale": {"logit_scale": 3.0},
     "logit_scale_150": {"logit_scale": 150.0},
+    "elu_logit_scale_150": {"phi": "elu", "logit_scale": 150.0},
 }
 
 
@@ -191,12 +207,7 @@ class TestLinearize:
         rng = np.random.default_rng(56)
         x = rng.uniform(0.0, 1.0, (4, 3, 5))
         eps = logdet.FD_STEP
-        if config == "relu":  # every logit off relu's kink
-            assert np.abs(pairwise_logits(grid_to_matrix(x), block)).min() > 1e-3
-            # small relu column sums curve the response: the reference's
-            # O(eps^2) truncation is 2e-8 to 7e-8 relative at eps = 1e-5
-            eps = 1e-6
-        if config == "logit_scale_150":
+        if config.endswith("logit_scale_150"):
             # concat has a column of logits all below -37, where the logistic
             # as 0.5 (1 + tanh(L/2)) rounds to 0 while softplus(L) ~ e^L stays
             # positive and normalizes to O(1)
@@ -206,21 +217,25 @@ class TestLinearize:
         assert_matches_finite_difference(block, x, rng.standard_normal((6, 4, 3, 5)), eps)
 
     def test_dead_column_has_zero_derivative(self):
-        # the zero position of test_attention's forced-zero-column case: its
-        # embedding is zero, so its relu(dot) column (and row) is zero and the
-        # column is filled uniform; directions that keep the position at zero
-        # keep the column dead, so its derivative is 0
-        block = build_block("dot", "invertible", 4, seed=34, phi="relu")
-        x = np.random.default_rng(35).uniform(0.0, 1.0, (3, 4, 3, 5))[1]
-        x[:, 0, 0] = 0.0
-        logits = pairwise_logits(grid_to_matrix(x), block)
-        assert np.array_equal(logits[:, 0], np.zeros(15))
+        # test_attention's dead-column block: logits -1e4 x_i·x_j, so the
+        # softplus column of a position whose dot with every position exceeds
+        # 0.0745 underflows to zero and is filled uniform. Position 0 is e1
+        # and every position has 1 in channel 0, so column 0 is dead, with
+        # others; a small step keeps them dead, so their derivative is 0
+        eye4 = np.eye(4)
+        block = AttentionBlock(kind="dot", variant="invertible", focus=0.5 * eye4, last=0.5 * eye4,
+                               embed1=eye4, embed2=-eye4, logit_scale=1e4)
+        x = np.random.default_rng(35).uniform(-1.0, 1.0, (4, 3, 5))
+        x[0] = 1.0
+        x[1:, 0, 0] = 0.0
+        dead = pairwise_logits(grid_to_matrix(x), block).max(axis=0) < -1000.0
+        assert dead[0] and 1 < dead.sum() < 15
         directions = np.random.default_rng(36).standard_normal((5, 4, 3, 5))
-        directions[:, :, 0, 0] = 0.0
-        for side in (1e-5, -1e-5):  # the finite difference crosses no kink
-            moved = pairwise_logits(grid_to_matrix(x + side * directions), block)
-            assert np.array_equal(np.sign(moved), np.broadcast_to(np.sign(logits), moved.shape))
-        assert_matches_finite_difference(block, x, directions)
+        eps = 1e-7  # the live columns' logits move 1e4 times as fast as x
+        for side in (eps, -eps):  # the finite difference revives no column
+            moved = raw_response(x + side * directions, block)
+            assert np.array_equal(moved.sum(axis=-2) == 0.0, np.broadcast_to(dead, (5, 15)))
+        assert_matches_finite_difference(block, x, directions, eps)
 
     def test_direction_stack_split_under_the_stack_cap(self, monkeypatch):
         block = build_block("embedded", "invertible", 3, seed=53)
