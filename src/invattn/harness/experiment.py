@@ -260,6 +260,34 @@ def check_image(image: np.ndarray, cfg: ExperimentConfig) -> None:
         )
 
 
+def _solve_and_score(
+    images: list[np.ndarray], working: np.ndarray, block: AttentionBlock, cfg: ExperimentConfig
+) -> list[tuple[np.ndarray | None, InversionReport, float | None]]:
+    """(reconstruction, report, SSIM) of each image of a same-shape stack,
+    given the (B, C, H, W) stack ``working`` of their squeezed grids.
+
+    The stack is inverted in lockstep, and the images that did not diverge
+    are scored with one SSIM call; a diverged image has neither a
+    reconstruction nor an SSIM.
+    """
+    xhat, report = roundtrip(working, block, cfg.inversion)
+    recons = [
+        None if r.diverged else np.clip(unsqueeze_levels(x, cfg.squeeze_levels), 0.0, 1.0)
+        for x, r in zip(xhat, report.images)
+    ]
+    ssims: list[float | None] = [None] * len(images)
+    kept = [j for j, recon in enumerate(recons) if recon is not None]
+    if kept:
+        scores = compute_ssim(
+            np.stack([images[j] for j in kept]),
+            np.stack([recons[j] for j in kept]),
+            window=min(8, *images[0].shape[-2:]),
+        )
+        for j, score in zip(kept, scores):
+            ssims[j] = float(score)
+    return list(zip(recons, report.images, ssims))
+
+
 def _run_one_image(
     index: int,
     image: np.ndarray,
@@ -267,21 +295,19 @@ def _run_one_image(
     block: AttentionBlock,
     cfg: ExperimentConfig,
     out_dir: Path,
-    solved: tuple[np.ndarray | None, InversionReport] | None,
+    solved: tuple[np.ndarray | None, InversionReport, float | None] | None,
 ) -> dict:
     """The record of one image, given its squeezed ``working`` grid; ``solved``
-    is its (reconstruction, report) from a stacked roundtrip, or None to run
-    the roundtrip here."""
+    is its (reconstruction, report, SSIM) from :func:`_solve_and_score` on
+    its stack, or None to solve and score the image alone here."""
     record: dict = {"index": index, "kind": block.kind}
     if cfg.variant != "invertible":
         record["note"] = "no invertibility contract"
     try:
-        xhat, report = roundtrip(working, block, cfg.inversion) if solved is None else solved
-        ssim = None
-        if xhat is not None:
-            recon = np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0)
-            window = min(8, image.shape[1], image.shape[2])
-            ssim = compute_ssim(image, recon, window=window)
+        if solved is None:
+            solved = _solve_and_score([image], working[None], block, cfg)[0]
+        recon, report, ssim = solved
+        if recon is not None:
             save_ppm(recon, out_dir / f"recon_{block.kind}_{index:03d}.ppm")
         record = report_to_record(report, **record)
         record["ssim"] = ssim
@@ -302,15 +328,15 @@ def _run_stack(
     cfg: ExperimentConfig,
     out_dir: Path,
 ) -> list[dict]:
-    """Records of the same-shape images at ``indices``, inverted as one stack.
+    """Records of the same-shape images at ``indices``, solved and scored as
+    one stack.
 
-    If the stacked roundtrip raises, each image is run alone, so every
-    record carries the error its own roundtrip raises.
+    If the stacked roundtrip or scoring raises, each image is run alone, so
+    every record carries the error its own roundtrip raises.
     """
     working = np.stack([squeeze_levels(images[i], cfg.squeeze_levels) for i in indices])
     try:
-        xhat, report = roundtrip(working, block, cfg.inversion)
-        solved = [(None if r.diverged else x, r) for x, r in zip(xhat, report.images)]
+        solved = _solve_and_score([images[i] for i in indices], working, block, cfg)
     except _RECORDED_ERRORS:
         solved = [None] * len(indices)
     return [

@@ -28,12 +28,14 @@ _C1 = (0.01 * _DYNAMIC_RANGE) ** 2
 _C2 = (0.03 * _DYNAMIC_RANGE) ** 2
 
 
-def compute_ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:
+def compute_ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float | np.ndarray:
     """Mean structural similarity over sliding windows and channels.
 
     Uniform square windows, population window moments, and the standard
     luminance-contrast-structure product with stabilizers (0.01 L)^2 and
-    (0.03 L)^2, L = 255 being the dynamic range.
+    (0.03 L)^2, L = 255 being the dynamic range. A (C, H, W) pair gives a
+    float; a (B, C, H, W) pair of stacks gives an array of B values, each
+    the same as scoring that pair of grids alone.
     """
     a = as_grid(a)
     b = as_grid(b)
@@ -45,6 +47,4 @@ def compute_ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:
         raise ValueError(
             f"window {window} exceeds spatial dims {a.shape[-2]}x{a.shape[-1]}"
         )
-    a255 = a.astype(np.float64) * _DYNAMIC_RANGE
-    b255 = b.astype(np.float64) * _DYNAMIC_RANGE
-    return float(kernels.ssim_mean(a255, b255, window, _C1, _C2))
+    return kernels.ssim_mean(a * _DYNAMIC_RANGE, b * _DYNAMIC_RANGE, window, _C1, _C2)

@@ -2,7 +2,7 @@
 
 ``lu_logabsdet_kernel`` reduces a dense LU factorization to (log|det|, sign)
 for the dense-Jacobian log-det oracle; ``ssim_mean`` averages SSIM over every
-sliding window of a pair of images.
+sliding window of a pair of images, or of each pair in two stacks.
 """
 
 from __future__ import annotations
@@ -18,9 +18,14 @@ def lu_logabsdet_kernel(a: np.ndarray) -> tuple[float, int]:
     return float(logabs), int(sign)
 
 
-def ssim_mean(a: np.ndarray, b: np.ndarray, win: int, c1: float, c2: float) -> float:
+def ssim_mean(
+    a: np.ndarray, b: np.ndarray, win: int, c1: float, c2: float
+) -> float | np.ndarray:
     """Mean SSIM over all ``win`` x ``win`` windows and channels of (C, H, W)
     arrays on the 0..255 scale, with population window moments.
+
+    For (B, C, H, W) stacks it returns the B per-grid means as an array, each
+    equal to the value for that pair of grids alone.
 
     Each channel is centred on its mean before the moments are summed; the
     (co)variances are shift-invariant, and centring keeps the summed-area
@@ -52,4 +57,7 @@ def ssim_mean(a: np.ndarray, b: np.ndarray, win: int, c1: float, c2: float) -> f
     mu2 = m2 + shift_b
     num = (2.0 * mu1 * mu2 + c1) * (2.0 * s12 + c2)
     den = (mu1 * mu1 + mu2 * mu2 + c1) * (s1 + s2 + c2)
-    return float((num / den).mean())
+    ratio = num / den
+    if ratio.ndim == 3:
+        return float(ratio.mean())
+    return ratio.mean(axis=(-3, -2, -1))

@@ -7,6 +7,7 @@ dtype. All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class PowerIterState:
 def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     while True:
         vec = rng.standard_normal(n)
-        nrm = np.linalg.norm(vec)
+        nrm = math.sqrt(vec.dot(vec))
         if nrm > 0.0:
             return vec / nrm
 
@@ -82,23 +83,25 @@ def power_iteration(
     if not np.any(a):
         return PowerIterState(u, v, 0.0)
 
+    # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-D float64
+    # vector, without its Python wrapper, which dominates at block sizes
     sigma = 0.0
     for _ in range(iters):
         vt = a.T @ u
-        nv = np.linalg.norm(vt)
+        nv = math.sqrt(vt.dot(vt))
         if nv == 0.0:
             # u landed in the null space of W'; restart from a fresh direction
             u = _random_unit(rows, rng)
             continue
         v = vt / nv
         ut = a @ v
-        nu = np.linalg.norm(ut)
+        nu = math.sqrt(ut.dot(ut))
         if nu == 0.0:
             u = _random_unit(rows, rng)
             continue
         u = ut / nu
         prev = sigma
-        sigma = float(nu)
+        sigma = nu
         if abs(sigma - prev) < tol:
             break
     return PowerIterState(u, v, sigma)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invattn import attention
+from invattn import attention, kernels
 from invattn.attention import KINDS, load_block, squeeze
 from invattn.errors import PpmParseError
 from invattn.harness import experiment
@@ -203,6 +203,25 @@ class TestSsim:
             b = rng.uniform(0, 1, (3, 9, 9))
             value = compute_ssim(a, b)
             assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    @pytest.mark.parametrize("side", [8, 16, 64])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_stack_scores_each_grid_as_alone(self, count, side, window):
+        rng = np.random.default_rng(side * 10 + window)
+        a = rng.uniform(0, 1, (count, 3, side, side))
+        b = np.clip(a + rng.normal(0, 0.1, a.shape), 0, 1)
+        got = compute_ssim(a, b, window=window)
+        assert got.shape == (count,)
+        assert all(got[i] == compute_ssim(a[i], b[i], window=window) for i in range(count))
+        c1, c2 = 6.5, 58.5
+        got = kernels.ssim_mean(255 * a, 255 * b, window, c1, c2)
+        assert all(got[i] == kernels.ssim_mean(255 * a[i], 255 * b[i], window, c1, c2) for i in range(count))
+
+    def test_one_grid_gives_a_float(self):
+        a = np.random.default_rng(7).uniform(0, 1, (3, 8, 8))
+        assert type(compute_ssim(a, a)) is float
+        assert type(kernels.ssim_mean(a, a, 8, 6.5, 58.5)) is float
 
     def test_window_too_large(self):
         with pytest.raises(ValueError):
@@ -571,6 +590,26 @@ class TestRunExperiment:
             assert report.converged
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
+
+    def test_stack_with_a_diverged_image_scores_the_rest_alike(self, tmp_path):
+        # at this stress one of the four images diverges in the stacked solve
+        cfg = small_config(tmp_path, kinds=("concat",), seed=0, stress_weight_scale=5.0)
+        images = synthetic_batch(cfg.synthetic, cfg.size, cfg.batch, cfg.seed)
+        assert _image_stacks(images, cfg.squeeze_levels) == [[0, 1, 2, 3]]
+        run_experiment(cfg)
+        out = Path(cfg.out_dir)
+        records = read_records(out / "records.jsonl")
+        assert [r["diverged"] for r in records] == [False, False, True, False]
+        # the stressed block is past the bound load_block checks
+        block = experiment.make_block(cfg, "concat", cfg.seed * 1009)
+        for record, image in zip(records, images):
+            if record["diverged"]:
+                assert record["ssim"] is None
+                assert not (out / f"recon_concat_{record['index']:03d}.ppm").exists()
+                continue
+            xhat, _ = roundtrip(squeeze(image), block, cfg.inversion)
+            recon = np.clip(attention.unsqueeze(xhat), 0.0, 1.0)
+            assert record["ssim"] == compute_ssim(image, recon)
 
     def test_image_dir_not_squeezable_is_config_error(self, tmp_path):
         img_dir = tmp_path / "imgs"

@@ -98,7 +98,80 @@ class TestNorms:
             norm_frobenius(m)
 
 
+def norm_loop_power_iteration(m, iters, tol, seed):
+    """power_iteration's loop written out with np.linalg.norm as its norm;
+    returns (u, v, sigma) and how often the loop restarted."""
+    rng = np.random.default_rng(seed)
+
+    def random_unit(n):
+        while True:
+            vec = rng.standard_normal(n)
+            nrm = np.linalg.norm(vec)
+            if nrm > 0.0:
+                return vec / nrm
+
+    u = random_unit(m.shape[0])
+    v = np.zeros(m.shape[1])
+    if not np.any(m):
+        return (u, v, 0.0), 0
+    sigma, restarts = 0.0, 0
+    for _ in range(iters):
+        vt = m.T @ u
+        nv = np.linalg.norm(vt)
+        if nv == 0.0:
+            u, restarts = random_unit(m.shape[0]), restarts + 1
+            continue
+        v = vt / nv
+        ut = m @ v
+        nu = np.linalg.norm(ut)
+        if nu == 0.0:
+            u, restarts = random_unit(m.shape[0]), restarts + 1
+            continue
+        u = ut / nu
+        prev = sigma
+        sigma = float(nu)
+        if abs(sigma - prev) < tol:
+            break
+    return (u, v, sigma), restarts
+
+
+def assert_matches_norm_loop(m, iters=1000, tol=1e-15, seed=0):
+    """power_iteration's iterates equal the np.linalg.norm loop's bit for
+    bit; returns the loop's restart count."""
+    (u, v, sigma), restarts = norm_loop_power_iteration(m, iters, tol, seed)
+    state = power_iteration(m, iters=iters, tol=tol, seed=seed)
+    assert np.array_equal(state.u, u)
+    assert np.array_equal(state.v, v)
+    assert state.sigma_estimate == sigma
+    return restarts
+
+
 class TestPowerIteration:
+    @pytest.mark.parametrize("channels", [3, 12, 48, 192])
+    def test_iterates_match_the_norm_loop(self, channels):
+        # build_block's draws and power-iteration settings
+        for seed in range(20):
+            scale = 1.0 / np.sqrt(channels)
+            m = np.random.default_rng(seed).uniform(-scale, scale, size=(channels, channels))
+            assert assert_matches_norm_loop(m, seed=seed) == 0
+
+    def test_zero_matrix_matches_the_norm_loop(self):
+        assert assert_matches_norm_loop(np.zeros((5, 3)), seed=2) == 0
+
+    def test_restart_matches_the_norm_loop(self):
+        # the seeded start u0 lies in the null space of W' up to rounding, and
+        # at this scale W'u0's squared norm underflows to an exact 0, so the
+        # loop restarts once and then converges from the fresh direction
+        seed, n = 9, 12
+        u0 = np.random.default_rng(seed).standard_normal(n)
+        u0 /= np.linalg.norm(u0)
+        b = np.random.default_rng(10).standard_normal((n, n))
+        m = 1e-150 * ((np.eye(n) - np.outer(u0, u0)) @ b)
+        assert assert_matches_norm_loop(m, seed=seed) == 1
+        top = exact_svd_oracle(m)[0]
+        state = power_iteration(m, iters=1000, tol=1e-15 * top, seed=seed)
+        assert abs(state.sigma_estimate - top) <= 1e-9 * top
+
     def test_diagonal_spectrum(self):
         state = power_iteration(np.diag([3.0, 1.0]), iters=200, tol=1e-12, seed=0)
         assert abs(state.sigma_estimate - 3.0) <= 1e-10
