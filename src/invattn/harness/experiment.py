@@ -3,7 +3,10 @@ weights, roundtrip a batch of images through forward + fixed-point inverse,
 and emit a summary table, per-image records, reconstructions, and block
 files. Runs are deterministic given a fixed seed: each work item inverts one
 kind's stack of same-shape images in lockstep, per-image work gets
-index-derived seeds, and records merge by (kind, input index).
+index-derived seeds, and records merge by (kind, input index). A stack
+whose roundtrip or scoring raises is rerun as stacks of one, each record
+carrying its own error; an error in an image's log-det is recorded beside
+its roundtrip fields.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ..attention import (
     unsqueeze,
 )
 from ..errors import InvariantViolation
-from ..inversion import InversionConfig, InversionReport, report_to_record, roundtrip, write_records
+from ..inversion import InversionConfig, report_to_record, roundtrip, write_records
 from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
 from .metrics import compute_ssim
 from .ppm import load_ppm, save_ppm
@@ -260,67 +263,6 @@ def check_image(image: np.ndarray, cfg: ExperimentConfig) -> None:
         )
 
 
-def _solve_and_score(
-    images: list[np.ndarray], working: np.ndarray, block: AttentionBlock, cfg: ExperimentConfig
-) -> list[tuple[np.ndarray | None, InversionReport, float | None]]:
-    """(reconstruction, report, SSIM) of each image of a same-shape stack,
-    given the (B, C, H, W) stack ``working`` of their squeezed grids.
-
-    The stack is inverted in lockstep, and the images that did not diverge
-    are scored with one SSIM call; a diverged image has neither a
-    reconstruction nor an SSIM.
-    """
-    xhat, report = roundtrip(working, block, cfg.inversion)
-    recons = [
-        None if r.diverged else np.clip(unsqueeze_levels(x, cfg.squeeze_levels), 0.0, 1.0)
-        for x, r in zip(xhat, report.images)
-    ]
-    ssims: list[float | None] = [None] * len(images)
-    kept = [j for j, recon in enumerate(recons) if recon is not None]
-    if kept:
-        scores = compute_ssim(
-            np.stack([images[j] for j in kept]),
-            np.stack([recons[j] for j in kept]),
-            window=min(8, *images[0].shape[-2:]),
-        )
-        for j, score in zip(kept, scores):
-            ssims[j] = float(score)
-    return list(zip(recons, report.images, ssims))
-
-
-def _run_one_image(
-    index: int,
-    image: np.ndarray,
-    working: np.ndarray,
-    block: AttentionBlock,
-    cfg: ExperimentConfig,
-    out_dir: Path,
-    solved: tuple[np.ndarray | None, InversionReport, float | None] | None,
-) -> dict:
-    """The record of one image, given its squeezed ``working`` grid; ``solved``
-    is its (reconstruction, report, SSIM) from :func:`_solve_and_score` on
-    its stack, or None to solve and score the image alone here."""
-    record: dict = {"index": index, "kind": block.kind}
-    if cfg.variant != "invertible":
-        record["note"] = "no invertibility contract"
-    try:
-        if solved is None:
-            solved = _solve_and_score([image], working[None], block, cfg)[0]
-        recon, report, ssim = solved
-        if recon is not None:
-            save_ppm(recon, out_dir / f"recon_{block.kind}_{index:03d}.ppm")
-        record = report_to_record(report, **record)
-        record["ssim"] = ssim
-        if cfg.logdet and cfg.variant == "invertible":
-            _attach_logdet(record, working, block, cfg, index)
-    except _RECORDED_ERRORS as err:
-        record["error"] = f"{type(err).__name__}: {err}"
-        record.setdefault("mse", float("inf"))
-        record.setdefault("converged", False)
-        record.setdefault("diverged", True)
-    return record
-
-
 def _run_stack(
     indices: list[int],
     images: list[np.ndarray],
@@ -328,21 +270,52 @@ def _run_stack(
     cfg: ExperimentConfig,
     out_dir: Path,
 ) -> list[dict]:
-    """Records of the same-shape images at ``indices``, solved and scored as
-    one stack.
+    """Records of the same-shape images at ``indices``, inverted in lockstep
+    as one stack; the images that did not diverge are scored with one SSIM
+    call, and a diverged image has neither a reconstruction nor an SSIM.
 
-    If the stacked roundtrip or scoring raises, each image is run alone, so
-    every record carries the error its own roundtrip raises.
+    If the stacked roundtrip or scoring raises, each image is rerun as a
+    stack of one, so every record carries the error its own roundtrip
+    raises. An error in writing or in the log-det of one image is recorded
+    beside its roundtrip fields.
     """
+    base: dict = {"kind": block.kind}
+    if cfg.variant != "invertible":
+        base["note"] = "no invertibility contract"
     working = np.stack([squeeze_levels(images[i], cfg.squeeze_levels) for i in indices])
     try:
-        solved = _solve_and_score([images[i] for i in indices], working, block, cfg)
-    except _RECORDED_ERRORS:
-        solved = [None] * len(indices)
-    return [
-        _run_one_image(i, images[i], w, block, cfg, out_dir, s)
-        for i, w, s in zip(indices, working, solved)
-    ]
+        xhat, report = roundtrip(working, block, cfg.inversion)
+        recons = {
+            j: np.clip(unsqueeze_levels(xhat[j], cfg.squeeze_levels), 0.0, 1.0)
+            for j, r in enumerate(report.images)
+            if not r.diverged
+        }
+        ssims = {}
+        if recons:
+            scores = compute_ssim(
+                np.stack([images[indices[j]] for j in recons]),
+                np.stack(list(recons.values())),
+                window=min(8, *images[indices[0]].shape[-2:]),
+            )
+            ssims = {j: float(score) for j, score in zip(recons, scores)}
+    except _RECORDED_ERRORS as err:
+        if len(indices) > 1:
+            return [rec for i in indices for rec in _run_stack([i], images, block, cfg, out_dir)]
+        error = f"{type(err).__name__}: {err}"
+        return [{"index": indices[0], **base, "error": error, "mse": math.inf,
+                 "converged": False, "diverged": True}]
+    records = []
+    for j, (i, image_report) in enumerate(zip(indices, report.images)):
+        record = report_to_record(image_report, i, **base, ssim=ssims.get(j))
+        try:
+            if j in recons:
+                save_ppm(recons[j], out_dir / f"recon_{block.kind}_{i:03d}.ppm")
+            if cfg.logdet and cfg.variant == "invertible":
+                _attach_logdet(record, working[j], block, cfg, i)
+        except _RECORDED_ERRORS as err:
+            record["error"] = f"{type(err).__name__}: {err}"
+        records.append(record)
+    return records
 
 
 def _image_stacks(images: list[np.ndarray], levels: int) -> list[list[int]]:

@@ -186,7 +186,6 @@ def estimate_lipschitz(
     domain_sampler: Callable[[np.random.Generator], FeatureGrid],
     pairs: int = 2000,
     seed: int = 0,
-    extra_pairs: Iterable[tuple[np.ndarray, np.ndarray]] = (),
     local_probes: int = 0,
 ) -> LipschitzEstimate:
     """Max L2 ratio ||g(x1)-g(x2)|| / ||x1-x2|| over sampled pairs.
@@ -194,15 +193,13 @@ def estimate_lipschitz(
     Every fourth pair is independent; the rest perturb a base sample at
     scales 1e-3, 1e-1, and 1 to probe local slopes, since independent
     sampling alone badly underestimates sup ratios in high dimension.
-    ``extra_pairs`` lets callers inject known worst-case directions (e.g.
-    the top singular vector from power iteration), and ``local_probes``
-    base points each run ``_LOCAL_ITERS`` rounds of power iteration on the
-    local Jacobian J (:func:`~invattn.logdet.jvp` of step ``_LOCAL_EPS`` on
-    a stack of one direction, which ``g`` must then map), probing each
-    round's direction as a pair too. Power iteration on J alone heads for
-    J's dominant eigenvector, not its top singular vector, so the result is
-    a sampled lower bound on the Lipschitz constant, never a spectral norm.
-    Coincident pairs are skipped, never divided by.
+    ``local_probes`` base points each run ``_LOCAL_ITERS`` rounds of power
+    iteration on the local Jacobian J (:func:`~invattn.logdet.jvp` of step
+    ``_LOCAL_EPS`` on a stack of one direction, which ``g`` must then map),
+    probing each round's direction as a pair too. Power iteration on J
+    alone heads for J's dominant eigenvector, not its top singular vector,
+    so the result is a sampled lower bound on the Lipschitz constant, never
+    a spectral norm. Coincident pairs are skipped, never divided by.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
@@ -224,8 +221,6 @@ def estimate_lipschitz(
             best = ratio
             best_token = token
 
-    for i, (x1, x2) in enumerate(extra_pairs):
-        consider(np.asarray(x1), np.asarray(x2), f"extra:{i}")
     for p in range(pairs):
         x1 = domain_sampler(rng)
         mode = p % 4

@@ -522,6 +522,46 @@ class TestRunExperiment:
             assert "logdet_estimate" in record
             assert "logdet_oracle" in record
 
+    def logdet_records(self, tmp_path, **overrides):
+        cfg = ExperimentConfig(logdet=True, seed=0, out_dir=str(tmp_path / "out"), **overrides)
+        code = run_experiment(cfg)
+        return code, read_records(Path(cfg.out_dir) / "records.jsonl")
+
+    def test_logdet_records_carry_relative_error_and_warnings(self, tmp_path):
+        code, records = self.logdet_records(
+            tmp_path, kinds=("gaussian",), size=8, batch=4, synthetic="gradient"
+        )
+        assert code == EXIT_OK
+        for record in records:
+            estimate, oracle = record["logdet_estimate"], record["logdet_oracle"]
+            assert record["logdet_rel_err"] == abs(estimate - oracle) / abs(oracle)
+        assert [i for i, r in enumerate(records) if "logdet_warning" in r] == [0, 2]
+        assert records[0]["logdet_warning"] == "per-term magnitudes not decaying"
+
+    def test_logdet_error_is_recorded_beside_the_roundtrip_fields(self, tmp_path):
+        code, records = self.logdet_records(
+            tmp_path, kinds=("gaussian",), size=8, batch=4, synthetic="gradient",
+            stress_weight_scale=3.0,
+        )
+        assert code == EXIT_OK
+        failed = [i for i, r in enumerate(records) if "error" in r]
+        assert failed == [0, 3]
+        for i in failed:
+            record = records[i]
+            assert record["error"].startswith("InvariantViolation: Jacobian determinant sign -1")
+            assert list(record) == [
+                "index", "iterations", "final_residual", "converged", "diverged", "mse",
+                "kind", "ssim", "error",
+            ]
+            assert not [key for key in record if key.startswith("logdet_")]
+        assert all("logdet_estimate" in records[i] for i in (1, 2))
+
+    def test_logdet_past_the_oracle_budget_is_noted_without_an_estimate(self, tmp_path):
+        code, (record,) = self.logdet_records(tmp_path, kinds=("embedded",), size=32, batch=1)
+        assert code == EXIT_OK
+        assert record["logdet_note"] == "d=3072 exceeds dense-oracle budget"
+        assert "logdet_estimate" not in record and "logdet_oracle" not in record
+
     def test_image_dir_source(self, tmp_path):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
@@ -590,6 +630,20 @@ class TestRunExperiment:
             assert report.converged
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
+
+    def test_image_that_fails_alone_gets_an_error_record_without_roundtrip_fields(self, tmp_path):
+        cfg = small_config(
+            tmp_path, kinds=("gaussian",), seed=2, synthetic="gradient", stress_logit_scale=1e308
+        )
+        assert run_experiment(cfg) == EXIT_OK
+        out = Path(cfg.out_dir)
+        records = read_records(out / "records.jsonl")
+        assert [r["index"] for r in records] == [0, 1, 2, 3]
+        for record in records:
+            assert list(record) == ["index", "kind", "error", "mse", "converged", "diverged"]
+            assert record["error"].startswith("NonFiniteError")
+            assert (record["mse"], record["converged"], record["diverged"]) == (math.inf, False, True)
+        assert not list(out.glob("recon_*.ppm"))
 
     def test_stack_with_a_diverged_image_scores_the_rest_alike(self, tmp_path):
         # at this stress one of the four images diverges in the stacked solve

@@ -344,12 +344,9 @@ class TestEstimateLipschitz:
 
         w = spectral_normalize(w, 0.9, state)
         g = lambda x: (w @ x.ravel()).reshape(x.shape)
-        # the top right-singular direction from power iteration achieves sigma
-        top_pair = (np.zeros((12, 1, 1)), state.v.reshape(12, 1, 1))
-        est = estimate_lipschitz(g, normal_sampler((12, 1, 1)), pairs=500, seed=7, extra_pairs=[top_pair])
+        est = estimate_lipschitz(g, normal_sampler((12, 1, 1)), pairs=500, seed=7, local_probes=4)
+        assert est.sample_pairs > 500  # the local probes' pairs are considered too
         assert est.sup_ratio <= 0.9 + 1e-6
-        assert est.sup_ratio >= 0.9 - 0.05
-        assert est.argmax_pair_seed == "extra:0"
 
     def test_coincident_pairs_skipped(self):
         fixed = np.ones((2, 2, 2))
