@@ -1,8 +1,10 @@
 """Residual attention blocks over feature grids.
 
-A feature grid is a plain ``(channels, height, width)`` float64 array; its
-``positions x channels`` matrix view (one row per spatial position) is what
-the response and feature maps act on. The maps up to the residual branch
+A feature grid is a plain ``(channels, height, width)`` float64 array. The
+response maps act on its ``positions x channels`` matrix view (one row per
+spatial position); the 1x1 convolutions and the attention forward act on its
+own ``channels x positions`` layout, so they return grids without a
+transposing copy. The maps up to the residual branch
 also take a ``(batch, channels, height, width)`` stack of grids and act on
 each grid of it independently; one grid is a stack with no leading axis.
 Four response kinds are supported (gaussian, embedded, dot, concat), each in
@@ -147,14 +149,17 @@ def _phi_in_place(a: np.ndarray, selector: str) -> np.ndarray:
 def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
     """Multiply every position's channel vector by the (out, in) weight matrix.
 
+    Computed as ``w @ x`` on the channels-by-positions view of the grid (or
+    of each grid of a stack), which is the grid's own layout, so the result
+    is a new C-contiguous grid and no transposing copy is made.
     Positions are independent, so the Lipschitz constant of the grid map
     equals the largest singular value of the weight.
     """
     x = as_grid(x)
     if w.shape[1] != x.shape[-3]:
         raise ValueError(f"conv expects {w.shape[1]} channels, grid has {x.shape[-3]}")
-    out = grid_to_matrix(x) @ w.T
-    return matrix_to_grid(out, x.shape[-2], x.shape[-1])
+    out = w @ x.reshape(x.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + x.shape[-2:])
 
 
 # ---------------------------------------------------------------------------
@@ -414,36 +419,37 @@ def response_map(x: FeatureGrid, block: AttentionBlock) -> np.ndarray:
 
 
 def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
-    """A(x) = R(x) F(x), computed in the positions-by-channels view.
+    """A(x) = R(x) F(x), computed in the grid layout: with F the focus conv
+    of the grid as a channels-by-positions matrix, A's matrix is F Rᵀ, so
+    the result is a new grid with no transposing copy.
 
     Summed over column slabs J of at most ``_BLOCK_COLS`` positions as
-    ``R[:, J] F[J]``, so no m x m response is held when m is larger. The sum
-    is exact, with no rescaling between slabs, because each column of R is
-    normalized on its own (see :func:`normalize_response`). The
-    row-normalized responses (non-invertible gaussian and embedded) take one
-    slab of every column.
+    ``F[:, J] R[:, J]ᵀ``, so no m x m response is held when m is larger. The sum is exact, with no rescaling
+    between slabs, because each column of R is normalized on its own (see
+    :func:`normalize_response`). The row-normalized responses (non-invertible
+    gaussian and embedded) take one slab of every column.
 
     One float64 workspace of one slab's shape is allocated per call: each
     slab's logits are written, activated and normalized in a view of it, so
-    ``R[:, J] F[J]`` is the only new array a slab makes. It is local to the
-    call, so concurrent calls share nothing.
+    ``F[:, J] R[:, J]ᵀ`` is the only new array a slab makes. It is local to
+    the call, so concurrent calls share nothing.
     """
     x = as_grid(x)
-    feat = grid_to_matrix(apply_1x1_conv(x, block.focus))
-    positions = feat.shape[-2]
+    feat = apply_1x1_conv(x, block.focus).reshape(x.shape[:-2] + (-1,))
+    positions = feat.shape[-1]
     width = positions if _normalizes_rows(block.kind, block.variant) else _BLOCK_COLS
-    workspace = np.empty(feat.shape[:-1] + (min(width, positions),))
+    workspace = np.empty(feat.shape[:-2] + (positions, min(width, positions)))
     out = None
     for start in range(0, positions, width):
         cols = slice(start, start + width)
         slab = workspace[..., : min(width, positions - start)]
         resp = normalize_response(raw_response(x, block, cols, slab), block.kind, block.variant, slab)
-        part = resp @ feat[..., cols, :]
+        part = feat[..., cols] @ resp.swapaxes(-1, -2)
         if out is None:
             out = part
         else:
             out += part
-    return matrix_to_grid(out, x.shape[-2], x.shape[-1])
+    return out.reshape(x.shape)
 
 
 def residual_branch(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
@@ -464,20 +470,23 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     the exp kinds (exp(L), whose column shift the normalization cancels),
     1 - e^-raw for softplus (the logistic, exact where 1 + tanh(L/2)
     rounds to 0) and min(raw, 1) for elu. Every kind's logit step is
-    ``dL = dX Pᵀ + Q dXᵀ``, with E1, E2 the embeddings and a1, a2 the pair
-    scorer's halves:
+    ``dL = dX Pᵀ + Q dXᵀ`` in the positions-by-channels view, with E1, E2
+    the embeddings and a1, a2 the pair scorer's halves; each kind forms it
+    in its cheapest way:
 
-        kind           P                    Q
-        gaussian       X                    X
-        embedded, dot  E2 W1                E1 W2
-        concat         constant rows W1ᵀa1  constant rows W2ᵀa2
+        kind           P                    Q                    dL formed as
+        gaussian       X                    X                    A + Aᵀ, A = dX Xᵀ
+        embedded, dot  E2 W1                E1 W2                dX Pᵀ + Q dXᵀ
+        concat         constant rows W1ᵀa1  constant rows W2ᵀa2  (dX W1ᵀa1) 1ᵀ + 1 (dX W2ᵀa2)ᵀ
 
     With column sums s, R = raw / s and F = X W_fᵀ, the branch is
     g = R F W_lᵀ; so for q = logit_scale phi'(L) * dL,
-    ``dR = (q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``,
-    with 1/s folded into F so that dR is never formed. A dead column (sum
-    zero, filled uniform) has zero derivative. Each call splits its stack
-    with :func:`_in_stacks`.
+    ``dR = (q - R colsum(q)) / s`` and ``dg = (dR F + R dX W_fᵀ) W_lᵀ``.
+    W_l and 1/s are folded into two constants, ``G = (F / s) W_lᵀ`` and
+    ``K = W_fᵀ W_lᵀ``, so each apply is ``q G + R (dX K - colsum(q) G)``,
+    with colsum(q) scaling G's rows, and neither dR nor a trailing product
+    with W_l is formed. A dead column (sum zero, filled uniform) has zero
+    derivative. Each call splits its stack with :func:`_in_stacks`.
     """
     if block.variant != "invertible":
         raise ValueError("linearize requires an invertible-variant block")
@@ -500,24 +509,38 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     # past its column sums raw is needed only as R, so it is normalized in place
     resp = normalize_response(raw, block.kind, block.variant, raw)
     inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)[:, None]
-    focus_t = block.focus.T
-    feat_scaled = inv_sums * (pos @ focus_t)  # F / s, row j scaled by column j's sum
+    last_t = block.last.T
+    gain = (inv_sums * (pos @ block.focus.T)) @ last_t  # G: row j of F W_lᵀ over column j's sum
+    conv = block.focus.T @ last_t  # K
     ones = np.ones(height * width)
     if block.kind == "gaussian":
-        p_rows = q_rows = pos
+
+        def logit_step(dpos: np.ndarray) -> np.ndarray:
+            half = dpos @ pos.T
+            return half + half.swapaxes(-1, -2)
+
     elif block.kind == "concat":
         a1, a2 = np.split(block.pair_scorer[0], 2)
-        p_rows, q_rows = np.outer(ones, block.embed1.T @ a1), np.outer(ones, block.embed2.T @ a2)
+        scorers = np.stack([block.embed1.T @ a1, block.embed2.T @ a2], axis=1)
+
+        def logit_step(dpos: np.ndarray) -> np.ndarray:
+            scores = dpos @ scorers  # (P, m, 2): the row and the column terms
+            return scores[..., :, :1] + scores[..., None, :, 1]
+
     else:
         p_rows, q_rows = (pos @ block.embed2.T) @ block.embed1, (pos @ block.embed1.T) @ block.embed2
 
+        def logit_step(dpos: np.ndarray) -> np.ndarray:
+            return dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2)
+
     def step(v: np.ndarray) -> np.ndarray:
         dpos = grid_to_matrix(v)
-        q = slope * (dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2))
+        q = logit_step(dpos)
+        q *= slope
         q_sums = ones @ q  # column sums, (P, m)
-        # dR F + R dF = q (F / s) + R (dF - colsum(q) F / s)
-        d_attn = q @ feat_scaled + resp @ (dpos @ focus_t - q_sums[..., :, None] * feat_scaled)
-        return matrix_to_grid(d_attn @ block.last.T, height, width)
+        # (dR F + R dF) W_lᵀ = q G + R (dX K - colsum(q) G)
+        d_branch = q @ gain + resp @ (dpos @ conv - q_sums[..., :, None] * gain)
+        return matrix_to_grid(d_branch, height, width)
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)

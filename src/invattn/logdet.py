@@ -110,30 +110,29 @@ def _probe_trace_samples(
     stack, as a (P, k) array; ``apply`` maps a direction stack to J_g V.
 
     All probes take each step together, one ``apply`` on their stack; all
-    arithmetic is per probe. Each probe is renormalized between applications
-    so nested finite differences stay at unit scale; its magnitude is
-    carried in log space. A probe whose step has zero norm keeps zero
-    samples from that step on: every later power is exactly zero. The other
-    probes go on.
+    arithmetic is per probe, on whole rows of the stack, with no mask. Each
+    probe is renormalized between applications so nested finite differences
+    stay at unit scale; its magnitude is carried in log space. A probe whose
+    step has zero norm is a zero row from then on, since J_g maps zero to
+    zero: it takes scale 1, so its later samples are exactly zero, while the
+    other probes go on. The loop stops once every row is zero.
     """
     n_probes = v0.shape[0]
     flat0 = v0.reshape(n_probes, -1)
     samples = np.zeros((n_probes, k))
-    norms = np.linalg.norm(flat0, axis=1)
-    live = norms > 0.0
-    scale = np.where(live, norms, 1.0)  # a zero-norm row is all zeros
+    norms = np.sqrt(np.einsum("pi,pi->p", flat0, flat0))
+    scale = np.where(norms > 0.0, norms, 1.0)  # a zero-norm row is all zeros
     log_mag = np.log(scale)
     w = flat0 / scale[:, None]
     for j in range(k):
-        if not live.any():
+        if not norms.any():
             break
         u = apply(w.reshape(v0.shape)).reshape(n_probes, -1)
-        norms = np.linalg.norm(u, axis=1)
-        live &= norms > 0.0
-        scale = np.where(live, norms, 1.0)
+        norms = np.sqrt(np.einsum("pi,pi->p", u, u))
+        scale = np.where(norms > 0.0, norms, 1.0)
         w = u / scale[:, None]
         log_mag += np.log(scale)
-        samples[live, j] = np.exp(log_mag[live]) * np.einsum("pi,pi->p", flat0[live], w[live])
+        samples[:, j] = np.exp(log_mag) * np.einsum("pi,pi->p", flat0, w)
     return samples
 
 

@@ -806,6 +806,35 @@ def test_normalize_response_stack_matches_loop(kind, variant):
 
 
 # ---------------------------------------------------------------------------
+# Grid layout: the convs and the forward make no transposing copy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_branch_and_conv_never_transpose_back_to_a_grid(kind, variant, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix_to_grid called on the forward path")
+
+    monkeypatch.setattr(attention, "matrix_to_grid", refuse)
+    block = build_block(kind, variant, 4, seed=37)
+    rng = np.random.default_rng(38)
+    w = rng.standard_normal((5, 4))
+    for shape in [(4, 3, 5), (3, 4, 3, 5)]:
+        x = rng.uniform(0.0, 1.0, shape)
+        assert residual_branch(x, block).shape == shape
+        out = apply_1x1_conv(x, w)
+        assert out.shape == shape[:-3] + (5,) + shape[-2:]
+        assert out.flags.c_contiguous
+        # a matrix-vector product may round its last bit unlike the matrix
+        # product, so the loop is matched to 1e-15 of the largest entry
+        looped = np.empty_like(out)
+        for *grid, i, j in np.ndindex(shape[:-3] + shape[-2:]):
+            looped[(*grid, slice(None), i, j)] = w @ x[(*grid, slice(None), i, j)]
+        assert np.abs(out - looped).max() <= 1e-15 * np.abs(looped).max()
+
+
+# ---------------------------------------------------------------------------
 # Column-blocked forward
 # ---------------------------------------------------------------------------
 

@@ -302,6 +302,72 @@ class TestLinearize:
             apply(np.full((1, 3, 2, 2), np.inf))
 
 
+def general_linearized_step(block, x, directions):
+    """J_g(x) V from the general logit step ``slope * (dX Pᵀ + Q dXᵀ)`` of
+    every kind, an explicit dR and a trailing product with W_l, in the
+    positions-by-channels view; the slope is phi'(L) from the logits (raw
+    itself for the exp kinds, whose column shift R cancels)."""
+    pos = grid_to_matrix(x)
+    raw = raw_response(x, block)
+    logits = pairwise_logits(pos, block)
+    with np.errstate(over="ignore"):
+        if block.kind in ("gaussian", "embedded"):
+            slope = raw
+        elif block.phi == "softplus":
+            slope = 1.0 / (1.0 + np.exp(-logits))
+        else:
+            slope = np.where(logits > 0.0, 1.0, np.exp(np.minimum(logits, 0.0)))
+    if block.kind == "gaussian":
+        p_rows = q_rows = pos
+    elif block.kind == "concat":
+        a1, a2 = np.split(block.pair_scorer[0], 2)
+        p_rows = np.tile(block.embed1.T @ a1, (pos.shape[0], 1))
+        q_rows = np.tile(block.embed2.T @ a2, (pos.shape[0], 1))
+    else:
+        p_rows = (pos @ block.embed2.T) @ block.embed1
+        q_rows = (pos @ block.embed1.T) @ block.embed2
+    sums = raw.sum(axis=0)
+    resp = attention.normalize_response(raw, block.kind, block.variant)
+    inv_sums = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)
+    feat = pos @ block.focus.T
+    dpos = grid_to_matrix(directions)
+    q = block.logit_scale * slope * (dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2))
+    d_resp = (q - resp * q.sum(axis=-2, keepdims=True)) * inv_sums
+    d_attn = d_resp @ feat + resp @ (dpos @ block.focus.T)
+    return attention.matrix_to_grid(d_attn @ block.last.T, *x.shape[-2:])
+
+
+def assert_matches_general_step(block, x, directions):
+    got = linearize(block, x)(directions)
+    want = general_linearized_step(block, x, directions)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestPerKindLogitStep:
+    """Each kind's logit step, folded W_l included, against the general
+    step with a trailing W_l product."""
+
+    @pytest.mark.parametrize("logit_scale", [1.0, 150.0])
+    @pytest.mark.parametrize("phi", PHI_CHOICES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_general_step(self, kind, phi, logit_scale):
+        block = build_block(kind, "invertible", 4, seed=61, phi=phi, logit_scale=logit_scale)
+        rng = np.random.default_rng(62)
+        x = rng.uniform(0.0, 1.0, (4, 3, 5))
+        assert_matches_general_step(block, x, rng.standard_normal((6, 4, 3, 5)))
+
+    def test_dead_columns_match_the_general_step(self):
+        # TestLinearize.test_dead_column_has_zero_derivative's block and grid
+        eye4 = np.eye(4)
+        block = AttentionBlock(kind="dot", variant="invertible", focus=0.5 * eye4, last=0.5 * eye4,
+                               embed1=eye4, embed2=-eye4, logit_scale=1e4)
+        x = np.random.default_rng(35).uniform(-1.0, 1.0, (4, 3, 5))
+        x[0] = 1.0
+        x[1:, 0, 0] = 0.0
+        assert (raw_response(x, block).sum(axis=0) == 0.0).sum() > 1
+        assert_matches_general_step(block, x, np.random.default_rng(36).standard_normal((5, 4, 3, 5)))
+
+
 class TestHutchinsonTracePower:
     """tr(J_g^k) estimates, read off the k-th term of the series."""
 
@@ -343,6 +409,35 @@ class TestHutchinsonTracePower:
         samples = _probe_trace_samples(linear_branch(m), probes, 5)  # a linear map is its own J
         assert np.array_equal(samples[[1, 3]], np.zeros((2, 5)))
         assert np.abs(samples[[0, 2]] - 2.0 * 0.5 ** np.arange(1, 6)).max() <= 1e-12
+
+
+    def test_unmasked_loop_matches_the_masked_loop(self):
+        block = build_block("embedded", "invertible", 12, seed=63)
+        rng = np.random.default_rng(64)
+        x = rng.uniform(0.0, 1.0, (12, 4, 4))
+        apply = linearize(block, x)
+        probes = (rng.integers(0, 2, size=(64, 12, 4, 4)) * 2 - 1).astype(np.float64)
+        k = 20
+        # the masked loop: norms per row, samples written through boolean gathers
+        flat0 = probes.reshape(64, -1)
+        want = np.zeros((64, k))
+        norms = np.linalg.norm(flat0, axis=1)
+        live = norms > 0.0
+        scale = np.where(live, norms, 1.0)
+        log_mag = np.log(scale)
+        w = flat0 / scale[:, None]
+        for j in range(k):
+            u = apply(w.reshape(probes.shape)).reshape(64, -1)
+            norms = np.linalg.norm(u, axis=1)
+            live &= norms > 0.0
+            scale = np.where(live, norms, 1.0)
+            w = u / scale[:, None]
+            log_mag += np.log(scale)
+            want[live, j] = np.exp(log_mag[live]) * np.einsum("pi,pi->p", flat0[live], w[live])
+        got = _probe_trace_samples(apply, probes, k)
+        # relative to each term's largest sample: a sample near zero is a
+        # difference of larger numbers, so its own relative gap can be large
+        assert (np.abs(got - want).max(axis=0) <= 1e-13 * np.abs(want).max(axis=0)).all()
 
 
 class TestLogDetSeries:
