@@ -123,14 +123,14 @@ def apply_phi(x: np.ndarray, selector: str) -> np.ndarray:
 def _phi_in_place(a: np.ndarray, selector: str) -> np.ndarray:
     """:func:`apply_phi` written over the float array ``a``, which it returns."""
     if selector == "softplus":
-        # log(1 + e^a) = max(a, 0) + log1p(e^-|a|): stable at both ends and
-        # cheaper than logaddexp; the tail is the one scratch array
-        tail = np.abs(a)
-        np.negative(tail, out=tail)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        np.maximum(a, 0.0, out=a)
-        a += tail
+        # log1p(e^a) in place, in two passes with no scratch array. From
+        # log(max float) up, e^a overflows and softplus(a) rounds to a, so those
+        # entries (and NaN) keep a; the mask is built only when one is there
+        # (huge logit scales)
+        big = np.log(np.finfo(a.dtype).max)
+        live = a < big if a.size and not a.max() < big else True
+        np.exp(a, out=a, where=live)
+        np.log1p(a, out=a, where=live)
         return a
     if selector == "elu":
         # shifted ELU: a+1 for a > 0, exp(a) otherwise; smooth at 0 and > 0
@@ -306,9 +306,13 @@ def pairwise_logits(
     """Scaled logits of a positions-by-channels matrix (or stack) against the
     positions ``cols``, an m x b slab of the m x m logits: ``pos pos[cols]ᵀ``
     for gaussian, ``E1 E2[cols]ᵀ`` for embedded and dot, and
-    ``E1 a1 + (E2[cols] a2)ᵀ`` for concat, ``a1, a2`` the halves of the pair
-    scorer. The default takes every column. They are written into ``out``
-    (a float64 array of the slab's shape) if given, else into a new array."""
+    ``u 1ᵀ + 1 vᵀ`` for concat, with ``u = E1 a1``, ``v = E2[cols] a2`` and
+    ``a1, a2`` the halves of the pair scorer. Concat forms its logits as the
+    rank-2 product ``[u, 1] [1, v]ᵀ``: each product with 1 is exact and the
+    sum rounds once, so they equal the broadcast sum ``u_i + v_j`` bit for
+    bit, except that a sum of two -0 reads +0. The default takes every
+    column. They are written into ``out`` (a float64 array of the slab's
+    shape) if given, else into a new array."""
     if block.kind == "gaussian":
         logits = np.matmul(pos, pos[..., cols, :].swapaxes(-1, -2), out=out)
     else:
@@ -316,7 +320,11 @@ def pairwise_logits(
         e2 = pos[..., cols, :] @ block.embed2.T
         if block.kind == "concat":
             a1, a2 = np.split(block.pair_scorer[0], 2)
-            logits = np.add((e1 @ a1)[..., :, None], (e2 @ a2)[..., None, :], out=out)
+            left = np.ones(e1.shape[:-1] + (2,))
+            left[..., 0] = e1 @ a1
+            right = np.ones(e2.shape[:-2] + (2,) + e2.shape[-2:-1])
+            right[..., 1, :] = e2 @ a2
+            logits = np.matmul(left, right, out=out)
         else:
             logits = np.matmul(e1, e2.swapaxes(-1, -2), out=out)
     if block.logit_scale != 1.0:
