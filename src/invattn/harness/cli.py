@@ -5,21 +5,21 @@ it succeeds only when the input comes back), `logdet` (series estimate +
 dense oracle for one block), `lipschitz` (empirical constant of one block's
 residual branch), `selftest` (oracle suites). Every subcommand but
 `selftest` takes its input, block and limits from one validated
-`ExperimentConfig`. Exit codes: 0 success, 2 invariant violation, 3
-configuration error, 4 I/O error.
+`ExperimentConfig`, and `invert` and `logdet` print the fields `run` records
+for image 0. Exit codes: 0 success, 2 invariant violation, 3 configuration
+error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-
-import numpy as np
 
 from ..attention import KINDS, VARIANTS, PHI_CHOICES, make_residual_branch
 from ..errors import InvariantViolation, PpmParseError
-from ..inversion import estimate_lipschitz, normal_sampler, roundtrip
-from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
+from ..inversion import estimate_lipschitz, normal_sampler
+from ..logdet import DENSE_ORACLE_MAX_DIM
 from .experiment import (
     CONFIG_TYPES,
     EXIT_CONFIG,
@@ -31,12 +31,13 @@ from .experiment import (
     ExperimentConfig,
     check_image,
     config_from_mapping,
+    logdet_fields,
     make_block,
     parse_config_file,
+    roundtrip_stack,
     run_experiment,
     squeeze_levels,
     synthetic_batch,
-    unsqueeze_levels,
 )
 from .ppm import load_ppm, save_ppm
 from .selftest import run_selftest
@@ -94,8 +95,8 @@ def build_parser() -> _Parser:
 
     ld_p = commands.add_parser("logdet", help="series estimate + dense oracle on one block")
     _add_block_flags(ld_p, single_kind=True)
-    ld_p.add_argument("--terms", dest="logdet_terms", type=int, default=10, help="series terms K")
-    ld_p.add_argument("--samples", dest="logdet_samples", type=int, default=8, help="Hutchinson probes S")
+    ld_p.add_argument("--terms", dest="logdet_terms", type=int, help="series terms K")
+    ld_p.add_argument("--samples", dest="logdet_samples", type=int, help="Hutchinson probes S")
 
     lips_p = commands.add_parser("lipschitz", help="empirical Lipschitz constant of one block")
     _add_block_flags(lips_p, single_kind=True)
@@ -115,27 +116,26 @@ def _config(args) -> ExperimentConfig:
 
 
 def _single_input(args):
-    """The validated config, its block and the squeezed input grid of a
-    single-image subcommand."""
+    """The validated config, the block of its first kind, and the input image
+    of a single-image subcommand (``--image``, or image 0 of `run`'s
+    synthetic batch) with its squeezed working grid."""
     cfg = _config(args)
     if getattr(args, "image", None):
         image = load_ppm(args.image)
         check_image(image, cfg)
     else:
         image = synthetic_batch(cfg.synthetic, cfg.size, 1, cfg.seed)[0]
-    return cfg, make_block(cfg, cfg.kinds[0], cfg.seed), squeeze_levels(image, cfg.squeeze_levels)
+    return cfg, make_block(cfg, cfg.kinds[0]), image, squeeze_levels(image, cfg.squeeze_levels)
 
 
 def _cmd_invert(args) -> int:
-    cfg, block, working = _single_input(args)
-    xhat, report = roundtrip(working, block, cfg.inversion)
-    print(f"kind={block.kind} iterations={report.iterations_used} "
-          f"residual={report.final_residual:.3e} mse={report.reconstruction_mse:.6e} "
-          f"converged={report.converged} diverged={report.diverged}")
-    if xhat is not None and args.out:
-        save_ppm(np.clip(unsqueeze_levels(xhat, cfg.squeeze_levels), 0.0, 1.0), args.out)
+    cfg, block, image, _ = _single_input(args)
+    ((record, recon),) = roundtrip_stack([0], [image], block, cfg)
+    print(json.dumps(record))
+    if recon is not None and args.out:
+        save_ppm(recon, args.out)
         print(f"reconstruction written to {args.out}")
-    if not (report.converged and report.reconstruction_mse < _VSCORE_MSE_LIMIT):
+    if not (record["converged"] and record["mse"] < _VSCORE_MSE_LIMIT):
         # a converged solve lands on another preimage when g is no contraction
         raise InvariantViolation(
             f"input not reconstructed: needs convergence and mse < {_VSCORE_MSE_LIMIT}"
@@ -144,27 +144,17 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_logdet(args) -> int:
-    cfg, block, working = _single_input(args)
-    ld_cfg = LogDetConfig(
-        series_terms=cfg.logdet_terms, hutchinson_samples=cfg.logdet_samples, seed=cfg.seed
-    )
-    estimate = logdet_series(block, working, ld_cfg)
-    print(f"series estimate: {estimate.value:.6f} "
-          f"(K={cfg.logdet_terms}, S={cfg.logdet_samples}, probe variance {estimate.sample_variance:.3e})")
-    if estimate.divergence_warning:
-        print("warning: per-term magnitudes are not decaying")
-    dim = working.size
-    if dim <= DENSE_ORACLE_MAX_DIM:
-        oracle = brute_force_logdet(block, working)
-        rel = abs(estimate.value - oracle) / abs(oracle) if oracle != 0 else float("nan")
-        print(f"dense oracle:    {oracle:.6f} (relative error {rel:.2%})")
-    else:
-        print(f"dense oracle skipped: d={dim} exceeds the {DENSE_ORACLE_MAX_DIM} budget")
+    cfg, block, _, working = _single_input(args)
+    fields: dict = {}
+    estimate = logdet_fields(fields, working, block, cfg, 0)
+    print(json.dumps({**fields, "probe_variance": estimate.sample_variance}))
+    if "logdet_oracle" not in fields:
+        print(f"dense oracle skipped: d={working.size} exceeds the {DENSE_ORACLE_MAX_DIM} budget")
     return EXIT_OK
 
 
 def _cmd_lipschitz(args) -> int:
-    cfg, block, working = _single_input(args)
+    cfg, block, _, working = _single_input(args)
     estimate = estimate_lipschitz(
         make_residual_branch(block), normal_sampler(working.shape), pairs=args.pairs, seed=cfg.seed
     )

@@ -2,11 +2,11 @@
 weights, roundtrip a batch of images through forward + fixed-point inverse,
 and emit a summary table, per-image records, reconstructions, and block
 files. Runs are deterministic given a fixed seed: each work item inverts one
-kind's stack of same-shape images in lockstep, per-image work gets
-index-derived seeds, and records merge by (kind, input index). A stack
-whose roundtrip or scoring raises is rerun as stacks of one, each record
-carrying its own error; an error in an image's log-det is recorded beside
-its roundtrip fields.
+kind's stack of same-shape images in lockstep, blocks and probes are seeded
+from the config seed (:func:`make_block`, :func:`logdet_fields`), and
+records merge by (kind, input index). A stack whose roundtrip or scoring
+raises is rerun as stacks of one, each record carrying its own error; an
+error in an image's log-det is recorded beside its roundtrip fields.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from ..attention import (
 )
 from ..errors import InvariantViolation
 from ..inversion import InversionConfig, report_to_record, roundtrip, write_records
-from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, brute_force_logdet, logdet_series
+from ..logdet import DENSE_ORACLE_MAX_DIM, LogDetConfig, LogDetEstimate, brute_force_logdet, logdet_series
 from .metrics import compute_ssim
 from .ppm import load_ppm, save_ppm
 
 SYNTHETIC_SOURCES = ("gradient", "checkerboard", "gaussian-noise")
 _VSCORE_MSE_LIMIT = 10.0  # an image counts as reconstructed below this MSE
+_DOMAIN_SLACK = 1e-6  # a preimage entry farther outside [0, 1] is no pixel
 # memory guard for what stays quadratic in the m grid positions: linearize's
 # two m x m arrays and its (P, m, m) q, the row-normalized
 # non-invertible branch, and response_map (the column-normalized forward
@@ -235,15 +236,17 @@ def unsqueeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
     return x
 
 
-def make_block(cfg: ExperimentConfig, kind: str, seed: int) -> AttentionBlock:
-    """The configured block of ``kind`` for ``3 * 4**squeeze_levels`` channels."""
+def make_block(cfg: ExperimentConfig, kind: str) -> AttentionBlock:
+    """The configured block of ``kind`` for ``3 * 4**squeeze_levels`` channels,
+    seeded with ``1009 * cfg.seed + KINDS.index(kind)``, so a kind's block
+    does not depend on which other kinds run."""
     block = build_block(
         kind,
         cfg.variant,
         3 * 4**cfg.squeeze_levels,
         c=cfg.c,
         phi=cfg.phi,
-        seed=seed,
+        seed=1009 * cfg.seed + KINDS.index(kind),
         logit_scale=cfg.stress_logit_scale,
     )
     if cfg.stress_weight_scale != 1.0:
@@ -263,21 +266,19 @@ def check_image(image: np.ndarray, cfg: ExperimentConfig) -> None:
         )
 
 
-def _run_stack(
-    indices: list[int],
-    images: list[np.ndarray],
-    block: AttentionBlock,
-    cfg: ExperimentConfig,
-    out_dir: Path,
-) -> list[dict]:
-    """Records of the same-shape images at ``indices``, inverted in lockstep
-    as one stack; the images that did not diverge are scored with one SSIM
-    call, and a diverged image has neither a reconstruction nor an SSIM.
+def roundtrip_stack(
+    indices: list[int], images: list[np.ndarray], block: AttentionBlock, cfg: ExperimentConfig
+) -> list[tuple[dict, np.ndarray | None]]:
+    """The record of each same-shape image at ``indices``, inverted in
+    lockstep as one stack, and its reconstruction clipped to [0, 1]. The
+    images that did not diverge are scored with one SSIM call, and their
+    records count the preimage entries outside [0, 1] (``out_of_domain``);
+    a diverged image has no reconstruction, SSIM or count.
 
     If the stacked roundtrip or scoring raises, each image is rerun as a
     stack of one, so every record carries the error its own roundtrip
-    raises. An error in writing or in the log-det of one image is recorded
-    beside its roundtrip fields.
+    raises. An error in the log-det of one image is recorded beside its
+    roundtrip fields.
     """
     base: dict = {"kind": block.kind}
     if cfg.variant != "invertible":
@@ -298,24 +299,28 @@ def _run_stack(
                 window=min(8, *images[indices[0]].shape[-2:]),
             )
             ssims = {j: float(score) for j, score in zip(recons, scores)}
+        outside = ((xhat < -_DOMAIN_SLACK) | (xhat > 1.0 + _DOMAIN_SLACK)).reshape(len(indices), -1).sum(axis=1)
     except _RECORDED_ERRORS as err:
         if len(indices) > 1:
-            return [rec for i in indices for rec in _run_stack([i], images, block, cfg, out_dir)]
+            return [pair for i in indices for pair in roundtrip_stack([i], images, block, cfg)]
         error = f"{type(err).__name__}: {err}"
-        return [{"index": indices[0], **base, "error": error, "mse": math.inf,
-                 "converged": False, "diverged": True}]
-    records = []
+        return [({"index": indices[0], **base, "error": error, "mse": math.inf,
+                  "converged": False, "diverged": True}, None)]
+    pairs = []
     for j, (i, image_report) in enumerate(zip(indices, report.images)):
-        record = report_to_record(image_report, i, **base, ssim=ssims.get(j))
-        try:
-            if j in recons:
-                save_ppm(recons[j], out_dir / f"recon_{block.kind}_{i:03d}.ppm")
-            if cfg.logdet and cfg.variant == "invertible":
-                _attach_logdet(record, working[j], block, cfg, i)
-        except _RECORDED_ERRORS as err:
-            record["error"] = f"{type(err).__name__}: {err}"
-        records.append(record)
-    return records
+        out_of_domain = int(outside[j]) if j in recons else None
+        record = report_to_record(image_report, i, **base, ssim=ssims.get(j), out_of_domain=out_of_domain)
+        if cfg.logdet and cfg.variant == "invertible":
+            # a run spends no series on a grid the oracle cannot check
+            if working[j].size > DENSE_ORACLE_MAX_DIM:
+                record["logdet_note"] = f"d={working[j].size} exceeds dense-oracle budget"
+            else:
+                try:
+                    logdet_fields(record, working[j], block, cfg, i)
+                except _RECORDED_ERRORS as err:
+                    record["error"] = f"{type(err).__name__}: {err}"
+        pairs.append((record, recons.get(j)))
+    return pairs
 
 
 def _image_stacks(images: list[np.ndarray], levels: int) -> list[list[int]]:
@@ -332,36 +337,32 @@ def _image_stacks(images: list[np.ndarray], levels: int) -> list[list[int]]:
     return stacks
 
 
-def _attach_logdet(
+def logdet_fields(
     record: dict, working: np.ndarray, block: AttentionBlock, cfg: ExperimentConfig, index: int
-) -> None:
-    dim = working.size
-    if dim > DENSE_ORACLE_MAX_DIM:
-        record["logdet_note"] = f"d={dim} exceeds dense-oracle budget"
-        return
-    ld_cfg = LogDetConfig(
-        series_terms=cfg.logdet_terms,
-        hutchinson_samples=cfg.logdet_samples,
-        seed=cfg.seed * 100003 + index,
-    )
+) -> LogDetEstimate:
+    """Write the log-det fields of input ``index`` into ``record`` and return
+    its series estimate: ``cfg.logdet_terms`` terms on ``cfg.logdet_samples``
+    probes seeded with ``100003 * cfg.seed + index``, then, for a grid of at
+    most ``DENSE_ORACLE_MAX_DIM`` entries, the dense oracle and the relative
+    error. An oracle that refuses the block leaves the estimate in place."""
+    ld_cfg = LogDetConfig(cfg.logdet_terms, cfg.logdet_samples, seed=100003 * cfg.seed + index)
     estimate = logdet_series(block, working, ld_cfg)
-    oracle = brute_force_logdet(block, working)
     record["logdet_estimate"] = estimate.value
-    record["logdet_oracle"] = oracle
-    denom = abs(oracle)
-    record["logdet_rel_err"] = abs(estimate.value - oracle) / denom if denom > 0 else None
     if estimate.divergence_warning:
         record["logdet_warning"] = "per-term magnitudes not decaying"
+    if working.size <= DENSE_ORACLE_MAX_DIM:
+        oracle = brute_force_logdet(block, working)
+        record["logdet_oracle"] = oracle
+        record["logdet_rel_err"] = abs(estimate.value - oracle) / abs(oracle) if oracle != 0 else None
+    return estimate
 
 
 def _aggregate(kind: str, records: list[dict]) -> KindSummary:
-    mses = [r.get("mse") for r in records]
-    mses = [np.inf if m is None else float(m) for m in mses]
-    ssims = [r.get("ssim") for r in records if r.get("ssim") is not None]
-    mean_mse = float(np.mean(mses)) if mses else np.inf
+    mses = [r["mse"] for r in records]
+    ssims = [r["ssim"] for r in records if r.get("ssim") is not None]
     mean_ssim = float(np.mean(ssims)) if ssims else float("nan")
-    v_score = float(np.mean([m < _VSCORE_MSE_LIMIT for m in mses])) if mses else 0.0
-    return KindSummary(kind=kind, mean_mse=mean_mse, mean_ssim=mean_ssim, v_score=v_score)
+    v_score = float(np.mean([m < _VSCORE_MSE_LIMIT for m in mses]))
+    return KindSummary(kind=kind, mean_mse=float(np.mean(mses)), mean_ssim=mean_ssim, v_score=v_score)
 
 
 def format_summary(summaries: list[KindSummary]) -> str:
@@ -388,7 +389,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    blocks = [make_block(cfg, kind, cfg.seed * 1009 + k) for k, kind in enumerate(cfg.kinds)]
+    blocks = [make_block(cfg, kind) for kind in cfg.kinds]
     for block in blocks:
         save_block(block, out_dir / f"block_{block.kind}.json")
 
@@ -396,10 +397,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     stacks = _image_stacks(images, cfg.squeeze_levels)
     items = [(k, stack) for k in range(len(blocks)) for stack in stacks]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        done = pool.map(lambda item: _run_stack(item[1], images, blocks[item[0]], cfg, out_dir), items)
+        done = pool.map(lambda item: roundtrip_stack(item[1], images, blocks[item[0]], cfg), items)
         by_kind: list[list[dict]] = [[] for _ in blocks]
-        for (k, _), records in zip(items, done):
-            by_kind[k] += records
+        for (k, _), pairs in zip(items, done):
+            for record, recon in pairs:
+                if recon is not None:
+                    save_ppm(recon, out_dir / f"recon_{record['kind']}_{record['index']:03d}.ppm")
+                by_kind[k].append(record)
     summaries: list[KindSummary] = []
     all_records: list[dict] = []
     for kind, records in zip(cfg.kinds, by_kind):

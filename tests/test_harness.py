@@ -1,6 +1,8 @@
 import argparse
 import importlib.util
+import json
 import math
+import shlex
 import sys
 from pathlib import Path
 
@@ -549,12 +551,26 @@ class TestRunExperiment:
         for i in failed:
             record = records[i]
             assert record["error"].startswith("InvariantViolation: Jacobian determinant sign -1")
-            assert list(record) == [
+            # the oracle refuses the block after the series estimate is written
+            keys = list(record)
+            assert keys[:10] == [
                 "index", "iterations", "final_residual", "converged", "diverged", "mse",
-                "kind", "ssim", "error",
+                "kind", "ssim", "out_of_domain", "logdet_estimate",
             ]
-            assert not [key for key in record if key.startswith("logdet_")]
-        assert all("logdet_estimate" in records[i] for i in (1, 2))
+            assert keys[10:] in (["error"], ["logdet_warning", "error"])
+            assert math.isfinite(record["logdet_estimate"])
+        assert all("logdet_oracle" in records[i] for i in (1, 2))
+
+    def test_records_count_preimage_entries_outside_the_image_domain(self, tmp_path):
+        # this gaussian block is no contraction: images 2 and 5 converge to
+        # wrong preimages that leave [0, 1], and image 4 does not converge
+        cfg = ExperimentConfig(kinds=("gaussian",), synthetic="gradient", size=16, squeeze_levels=2,
+                               batch=8, seed=0, out_dir=str(tmp_path / "out"))
+        run_experiment(cfg)
+        records = read_records(Path(cfg.out_dir) / "records.jsonl")
+        assert [r["converged"] for r in records] == [True] * 4 + [False] + [True] * 3
+        assert [i for i, r in enumerate(records) if r["mse"] >= 10.0] == [2, 5]
+        assert [r["out_of_domain"] for r in records] == [0, 0, 24, 0, 1, 45, 0, 0]
 
     def test_logdet_past_the_oracle_budget_is_noted_without_an_estimate(self, tmp_path):
         code, (record,) = self.logdet_records(tmp_path, kinds=("embedded",), size=32, batch=1)
@@ -647,7 +663,7 @@ class TestRunExperiment:
 
     def test_stack_with_a_diverged_image_scores_the_rest_alike(self, tmp_path):
         # at this stress one of the four images diverges in the stacked solve
-        cfg = small_config(tmp_path, kinds=("concat",), seed=0, stress_weight_scale=5.0)
+        cfg = small_config(tmp_path, kinds=("concat",), seed=4, stress_weight_scale=5.0)
         images = synthetic_batch(cfg.synthetic, cfg.size, cfg.batch, cfg.seed)
         assert _image_stacks(images, cfg.squeeze_levels) == [[0, 1, 2, 3]]
         run_experiment(cfg)
@@ -655,10 +671,10 @@ class TestRunExperiment:
         records = read_records(out / "records.jsonl")
         assert [r["diverged"] for r in records] == [False, False, True, False]
         # the stressed block is past the bound load_block checks
-        block = experiment.make_block(cfg, "concat", cfg.seed * 1009)
+        block = experiment.make_block(cfg, "concat")
         for record, image in zip(records, images):
             if record["diverged"]:
-                assert record["ssim"] is None
+                assert record["ssim"] is None and record["out_of_domain"] is None
                 assert not (out / f"recon_concat_{record['index']:03d}.ppm").exists()
                 continue
             xhat, _ = roundtrip(squeeze(image), block, cfg.inversion)
@@ -726,12 +742,42 @@ class TestCli:
 
     def test_invert_refuses_a_wrong_preimage(self, capsys):
         # this gaussian block's raw inner-product logits break its contraction:
-        # the solve converges in 23 iterations, but to another preimage (MSE
-        # 1.8e4). Logits that no longer break it (L2-distance logits, item 16
-        # of the roadmap) will need another wrong-preimage case here.
-        assert main(["invert", "--kind", "gaussian", "--size", "8", "--squeeze", "1", "--seed", "1",
+        # the solve converges in 58 iterations, but to another preimage (MSE
+        # 4.6e4) that leaves [0, 1]. Logits that no longer break it
+        # (L2-distance logits, item 16 of the roadmap) will need another
+        # wrong-preimage case here.
+        assert main(["invert", "--kind", "gaussian", "--size", "16", "--squeeze", "1", "--seed", "17",
                      "--synthetic", "gradient"]) == EXIT_INVARIANT
-        assert "input not reconstructed" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert record["converged"] and record["out_of_domain"] > 0
+        assert "input not reconstructed" in err
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_invert_prints_the_record_run_writes(self, tmp_path, capsys, seed):
+        # a kind's block does not depend on which other kinds run
+        runs = []
+        for kinds in ([], ["--kind", "concat,gaussian"], *(["--kind", kind] for kind in KINDS)):
+            out = tmp_path / f"run{len(runs)}"
+            main(["run", *kinds, "--seed", str(seed), "--batch", "1", "--workers", "1", "--out", str(out)])
+            runs += read_records(out / "records.jsonl")
+        capsys.readouterr()
+        for kind in KINDS:
+            main(["invert", "--kind", kind, "--seed", str(seed)])
+            printed = json.loads(capsys.readouterr().out)
+            assert [r for r in runs if r["kind"] == kind] == [printed] * (3 if kind in ("concat", "gaussian") else 2)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_logdet_prints_the_logdet_fields_run_records(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        main(["run", "--logdet", "--seed", str(seed), "--batch", "1", "--out", str(out)])
+        capsys.readouterr()
+        for record in read_records(out / "records.jsonl"):
+            assert main(["logdet", "--kind", record["kind"], "--seed", str(seed)]) == EXIT_OK
+            printed = json.loads(capsys.readouterr().out)
+            assert printed.pop("probe_variance") > 0
+            assert printed == {key: value for key, value in record.items() if key.startswith("logdet_")}
+            assert {"logdet_estimate", "logdet_oracle", "logdet_rel_err"} <= set(printed)
 
     @pytest.mark.parametrize("command", ["run", "invert"])
     def test_relu_phi_is_config_error(self, tmp_path, capsys, command):
@@ -745,6 +791,21 @@ class TestCli:
     def test_logdet_subcommand(self):
         assert main(["logdet", "--kind", "embedded", "--size", "4", "--squeeze", "0",
                      "--seed", "2", "--terms", "8", "--samples", "8"]) == EXIT_OK
+
+    def test_logdet_past_the_oracle_budget_prints_the_estimate(self, capsys):
+        assert main(["logdet", "--size", "32", "--terms", "2", "--samples", "2"]) == EXIT_OK
+        fields, skipped = capsys.readouterr().out.splitlines()
+        assert list(json.loads(fields)) == ["logdet_estimate", "probe_variance"]
+        assert skipped == "dense oracle skipped: d=3072 exceeds the 768 budget"
+
+    def test_readme_cli_lines_parse(self):
+        # a flag renamed or removed in the parser must also leave the README
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert lines and all(words[0] == "invattn" for words in lines)
+        for words in lines:
+            build_parser().parse_args(words[1:])
 
     def test_lipschitz_subcommand(self):
         assert main(["lipschitz", "--kind", "gaussian", "--size", "8", "--seed", "1",
