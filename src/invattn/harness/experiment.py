@@ -273,7 +273,10 @@ def roundtrip_stack(
     lockstep as one stack, and its reconstruction clipped to [0, 1]. The
     images that did not diverge are scored with one SSIM call, and their
     records count the preimage entries outside [0, 1] (``out_of_domain``);
-    a diverged image has no reconstruction, SSIM or count.
+    a diverged image has no reconstruction, SSIM or count. A preimage with
+    an entry outside the domain is a wrong fixed point, so its record reads
+    ``converged: false`` whatever the solver's verdict; the solver's own
+    residual stays in ``final_residual``.
 
     If the stacked roundtrip or scoring raises, each image is rerun as a
     stack of one, so every record carries the error its own roundtrip
@@ -310,6 +313,8 @@ def roundtrip_stack(
     for j, (i, image_report) in enumerate(zip(indices, report.images)):
         out_of_domain = int(outside[j]) if j in recons else None
         record = report_to_record(image_report, i, **base, ssim=ssims.get(j), out_of_domain=out_of_domain)
+        if out_of_domain:
+            record["converged"] = False
         if cfg.logdet and cfg.variant == "invertible":
             # a run spends no series on a grid the oracle cannot check
             if working[j].size > DENSE_ORACLE_MAX_DIM:

@@ -1,17 +1,24 @@
 """Fixed-point inversion of residual blocks, empirical Lipschitz estimation,
 and convergence diagnostics.
 
-Inverting z = x + g(x) iterates x <- z - g(x) from x = z; when g is a
-contraction with factor c < 1 the iterate error shrinks by at least c per
-step. The residual reported per step is the max-abs fixed-point defect
-z - x - g(x), which equals the successive-iterate difference and bounds the
-remaining reconstruction error by a 1/(1-c) factor.
+Inverting z = x + g(x) means finding a fixed point of G(x) = z - g(x),
+starting from x = z. Plain iteration x <- G(x) converges when g is a
+contraction. The solver accelerates it with Anderson mixing (Walker & Ni,
+SIAM J. Numer. Anal. 49(4), 2011): each step combines the G values of the
+last few iterates with the weights, summing to 1, that minimize the
+matching combination of residuals f = G(x) - x in least squares, a
+multisecant quasi-Newton step. An image whose residual did not shrink has
+its history cleared and takes the plain step. The residual reported per
+step is the max-abs fixed-point defect z - x - g(x) at the iterate; for a
+c-contraction g it bounds that iterate's error by a 1/(1-c) factor, mixed
+step or not.
 
 The solver takes only a (B, C, H, W) stack of grids; :func:`roundtrip`
 passes one grid as a stack of one. The stack is inverted in lockstep: each
 step is one branch call on the images still iterating, every image keeps
-its own iteration count, residual, trace and divergence flag, and an image
-that converges or diverges leaves the stack, so the others are unaffected.
+its own history, iteration count, residual, trace and divergence flag, and
+an image that converges or diverges leaves the stack, so the others are
+unaffected.
 """
 
 from __future__ import annotations
@@ -31,14 +38,16 @@ from .logdet import jvp
 _PERTURBATION_SCALES = (1e-3, 1e-1, 1.0)
 _LOCAL_ITERS = 12  # power-iteration rounds per local probe
 _LOCAL_EPS = 1e-4  # central-difference step of a local probe
+_HISTORY = 5  # Anderson history: the residual differences fitted per step
+_RIDGE = 1e-14  # relative raise of the Gram diagonal, so a rank-deficient history still solves
 
 
 @dataclass
 class InversionConfig:
     """Iteration budget and stopping rule for fixed-point inversion.
 
-    ``early_stop_tol`` applies to the successive-iterate max-abs difference;
-    0 disables early stopping and reproduces the fixed-N behavior.
+    ``early_stop_tol`` applies to the max-abs residual |G(x) - x| of an
+    iterate; 0 disables early stopping and reproduces the fixed-N behavior.
     """
 
     max_iters: int = 100
@@ -84,21 +93,50 @@ def _branch_step(g: Callable[[FeatureGrid], FeatureGrid], xs: np.ndarray) -> np.
     return np.concatenate([_branch_step(g, xs[j : j + 1]) for j in range(len(xs))])
 
 
+def _mix_weights(system: np.ndarray, unit_sum: np.ndarray, slot: int) -> np.ndarray:
+    """Solve a stack of bordered least-squares systems for their mixing
+    weights. When the stacked solve meets a singular system, the solve is
+    rerun system by system, and a singular one puts all weight on ``slot``:
+    its image takes the plain step.
+    """
+    try:
+        return np.linalg.solve(system, unit_sum)
+    except np.linalg.LinAlgError:
+        if len(system) == 1:
+            plain = np.zeros((1,) + unit_sum.shape)
+            plain[0, slot] = 1.0
+            return plain
+    return np.concatenate([_mix_weights(system[j : j + 1], unit_sum, slot) for j in range(len(system))])
+
+
 def fixed_point_invert(
     z: FeatureGrid,
     g: Callable[[FeatureGrid], FeatureGrid],
     cfg: InversionConfig | None = None,
 ) -> tuple[FeatureGrid, InversionReport]:
-    """Invert z = x + g(x) by iterating x <- z - g(x).
+    """Invert z = x + g(x) by Anderson-accelerated iteration of G(x) = z - g(x).
 
     ``z`` is a (B, C, H, W) stack; any other shape is refused (pass one grid
-    as a stack of one). The stack is solved in lockstep: each step is one
-    call of ``g`` on the stack of images still iterating. Each image keeps
-    its own iteration count, residual, trace and divergence flag, and
-    leaves the stack once it converges, so its result equals a solve of
-    that image alone whenever ``g`` maps a stack grid by grid. An image
-    has converged when its final residual is at most ten times the
-    early-stop tolerance, as it is whenever it stopped early.
+    as a stack of one). The solve starts at x = z, and step k calls ``g``
+    once on the stack of images still iterating. An image stops once its
+    residual max |G(x_k) - x_k| is below the early-stop tolerance, or the
+    budget is spent, and returns G(x_k). Otherwise it takes the mixed step
+    x <- G(x_k) - dG gamma: dG and dF hold the differences of G and of the
+    residual f = G(x) - x over its last ``_HISTORY`` steps, and gamma fits f
+    by dF in least squares. The step is computed as the combination
+    sum_i a_i G(x_i), with weights summing to 1, of the iterates that
+    minimizes |sum_i a_i f_i|; with no history it is the plain step
+    x <- G(x_k). An image whose residual did not shrink since its last step
+    has its history cleared and takes the plain step.
+
+    Each image keeps its own history, iteration count, residual, trace and
+    divergence flag, no reduction mixes images, and an image leaves the
+    stack once it converges, so its result equals a solve of that image
+    alone whenever ``g`` maps a stack grid by grid. An image has converged
+    when its final residual is at most ten times the early-stop tolerance,
+    as it is whenever it stopped early. For a c-contraction g, every x has
+    |x - x*| <= |G(x) - x| / (1 - c), so the residual bounds the error of
+    the last iterate whichever step reached it.
 
     An image whose branch output or iterate is non-finite, or whose branch
     call raises, diverges at its own iteration: its slot is NaN, its report
@@ -109,37 +147,66 @@ def fixed_point_invert(
     if z.ndim != 4:
         raise ValueError(f"fixed_point_invert takes a (B, C, H, W) stack, got shape {z.shape}")
     cfg = cfg or InversionConfig()
-    n = z.shape[0]
+    n, dim, points = z.shape[0], z[0].size, _HISTORY + 1
     iterations = np.zeros(n, dtype=int)
     diffs = np.full(n, np.inf)
     failed = np.zeros(n, dtype=bool)
     traces = [[] if cfg.record_trace else None for _ in range(n)]
     # the images still iterating, their targets and their iterates; an image
-    # that leaves the stack has its last iterate written to x
+    # that leaves the stack has its last G(x) written to x
     active, za, xa = np.arange(n), z, z
     x = np.empty_like(z)
+    # The history of the images still iterating, in ring slots shared by all
+    # of them: G(x) and f = G(x) - x at their last `points` iterates, and the
+    # bordered system of the weights, the Gram matrix of the f's (diagonal
+    # raised by _RIDGE) beside a unit-sum row and column. An empty slot has
+    # a zero f, an identity row and a zero border, so its weight solves to
+    # 0 with no mask.
+    g_hist = np.zeros((n, points, dim))
+    f_hist = np.zeros((n, points, dim))
+    empty = np.eye(points + 1)
+    empty[points, points] = 0.0
+    system = np.tile(empty, (n, 1, 1))
+    unit_sum = np.eye(points + 1)[:, points:]
+    diff_prev = np.full(n, np.inf)
     # an expansive or overflowing g is expected here: its non-finite rows
     # are caught by the finite check below, so numpy need not warn of them
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.max_iters):
-            x_next = za - _branch_step(g, xa)
-            rows = len(active)
-            ok = np.isfinite(x_next.reshape(rows, -1)).all(axis=1)
-            diff = np.abs(x_next - xa).reshape(rows, -1).max(axis=1)
+            slot = i % points
+            g_x = g_hist[:, slot].reshape(za.shape)
+            np.subtract(za, _branch_step(g, xa), out=g_x)
+            f = f_hist[:, slot]
+            np.subtract(g_hist[:, slot], xa.reshape(f.shape), out=f)
+            diff = np.abs(f).max(axis=1)  # NaN where f has a NaN
+            ok = np.isfinite(diff)
             iterations[active] = i + 1
             diffs[active] = np.where(ok, diff, np.inf)
             failed[active[~ok]] = True
             if cfg.record_trace:
                 for image in active[ok]:
                     traces[image].append(float(diffs[image]))
-            stay = ok & (diff >= cfg.early_stop_tol)
+            # the last step's G(x) is every remaining image's answer
+            stay = ok & (diff >= cfg.early_stop_tol) & (i + 1 < cfg.max_iters)
             if not stay.all():
-                x[active[~stay]] = x_next[~stay]
-                active, za, x_next = active[stay], za[stay], x_next[stay]
-            xa = x_next
-            if not active.size:
-                break
-    x[active] = xa
+                x[active[~stay]] = g_x[~stay]
+                active = active[stay]
+                if not active.size:
+                    break
+                za, g_hist, f_hist, system = za[stay], g_hist[stay], f_hist[stay], system[stay]
+                diff, diff_prev, f = diff[stay], diff_prev[stay], f_hist[:, slot]
+            grew = diff >= diff_prev
+            if grew.any():
+                f_hist[np.ix_(grew, np.arange(points) != slot)] = 0.0
+                system[grew] = empty
+            col = np.matmul(f_hist, f[..., None])[..., 0]
+            system[:, slot, :points] = col
+            system[:, :points, slot] = col
+            system[:, slot, slot] *= 1.0 + _RIDGE
+            system[:, slot, points] = system[:, points, slot] = 1.0
+            weights = _mix_weights(system, unit_sum, slot)[:, :points]
+            xa = np.matmul(weights.swapaxes(1, 2), g_hist).reshape(za.shape)
+            diff_prev = diff
     x[failed] = np.nan
     reports = [
         InversionReport(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from invattn import inversion
 from invattn.attention import build_block, make_residual_branch, residual_forward, squeeze
 from invattn.harness.experiment import _scale_weights_inplace
 from invattn.inversion import (
@@ -64,16 +65,29 @@ class TestFixedPointInvert:
         assert report.converged
 
     def test_scalar_affine_contraction(self):
-        # z = 1.5, g(x) = 0.5x: iterates 1.5, 0.75, 1.125, ... -> 1.0,
-        # with the error halving each step
+        # z = 1.5, g(x) = 0.5x: the first step is plain (1.5 -> 0.75), the
+        # second mixes the two residuals onto the fixed point 1.0 exactly,
+        # and the third call confirms it
         z = np.full((1, 1, 1), 1.5)
         cfg = InversionConfig(max_iters=100, early_stop_tol=1e-14, record_trace=True)
         x, report = fixed_point_invert(z[None], lambda y: 0.5 * y, cfg)
-        assert abs(x.item() - 1.0) <= 1e-13
-        trace = np.array(report.images[0].trace)
-        assert abs(trace[0] - 0.75) <= 1e-15
-        ratios = trace[1:] / trace[:-1]
-        assert np.allclose(ratios, 0.5, atol=1e-12)
+        assert abs(x.item() - 1.0) <= 1e-15
+        trace = report.images[0].trace
+        assert trace[:2] == [0.75, 0.375]
+        assert len(trace) == report.iterations_used == 3
+        assert trace[2] <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_affine_contraction_ends_within_dim_plus_two_steps(self, dim):
+        # G(x) = z - A x with A = diag(0.5 .. -0.8): the residuals span at most
+        # dim directions, so once dim differences are in the history the
+        # mixed step lands on the fixed point and the next call confirms it
+        a = np.linspace(0.5, -0.8, dim)
+        z = np.random.default_rng(dim).uniform(-1.5, 1.5, (1, dim, 1, 1))
+        x, report = fixed_point_invert(z, lambda y: a[:, None, None] * y, InversionConfig(early_stop_tol=1e-12))
+        assert dim <= inversion._HISTORY
+        assert report.converged and report.iterations_used <= dim + 2
+        assert np.abs(x.ravel() - z.ravel() / (1.0 + a)).max() <= 1e-12
 
     def test_attention_block_roundtrip_max_abs(self):
         rng = np.random.default_rng(1)
@@ -310,6 +324,60 @@ class TestStackedSolve:
         assert calls[:5] == [4, 1, 1, 1, 1]  # the failing step, then image by image
         assert calls[5] == 3  # the other three go on as one stack
         assert_matches_solo(x, report, solo_solves(z, branch, InversionConfig(), skip={1}))
+
+    def test_residual_growth_clears_only_that_images_history(self):
+        # g = 0.9 sin(2y) is no contraction: the first image's residual grows
+        # mid-solve, and each time its next iterate is the plain step G(x_k);
+        # the second image, solved beside it, gets its solo result
+        def g(xs):
+            return 0.9 * np.sin(2.0 * xs)
+
+        z = np.stack([np.full((1, 1, 3), v) + [0.0, 0.5, -0.5] for v in (1.5, 1.25)])
+        cfg = InversionConfig(record_trace=True)
+        inputs = []
+
+        def recorded(xs):
+            inputs.append(xs.copy())
+            return g(xs)
+
+        _, alone = fixed_point_invert(z[:1], recorded, cfg)
+        trace = alone.images[0].trace
+        grew = [k for k in range(1, len(trace)) if trace[k] >= trace[k - 1]]
+        assert alone.converged and 1 < grew[0] < len(trace) - 2
+        for k in grew:
+            np.testing.assert_allclose(inputs[k + 1], z[:1] - g(inputs[k]), rtol=1e-15, atol=0.0)
+        x, report = fixed_point_invert(z, g, cfg)
+        assert_matches_solo(x, report, solo_solves(z, g, cfg))
+        assert report.converged
+
+    def test_singular_fit_takes_the_plain_step(self):
+        # the residuals of the 3e-170 image square to 0, so its least-squares
+        # system is singular from the second step on: it takes plain steps,
+        # its residual halving each time, while 1.5 mixes onto 1.0
+        z = np.stack([np.full((1, 2, 2), v) for v in (1.5, 3e-170)])
+        cfg = InversionConfig(max_iters=20, early_stop_tol=0.0, record_trace=True)
+        g = lambda y: 0.5 * y
+        x, report = fixed_point_invert(z, g, cfg)
+        assert_matches_solo(x, report, solo_solves(z, g, cfg))
+        tiny = np.array(report.images[1].trace)
+        assert np.allclose(tiny[1:] / tiny[:-1], 0.5, rtol=1e-6, atol=0.0)
+        assert x[0].ravel().tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("kind", ["embedded", "dot", "concat"])
+    def test_contractive_kinds_take_at_most_15_branch_calls_per_image(self, kind):
+        # plain iteration takes 15 to 17 calls per image on these five images
+        block, spread = spread_stack(kind, seed=21)
+        grid = residual_forward(squeeze(np.random.default_rng(26).uniform(0.0, 1.0, (3, 32, 32)))[None], block)
+        branch = make_residual_branch(block)
+        rows = []
+
+        def counted(xs):
+            rows.append(len(xs))
+            return branch(xs)
+
+        for z in (spread, grid):
+            assert fixed_point_invert(z, counted)[1].converged
+        assert sum(rows) / 5 <= 15.0
 
     def test_raise_mid_solve_is_attributed_at_its_iteration(self):
         def g(xs):
