@@ -477,15 +477,14 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     logits L once, and the slope phi'(L) is read off raw: raw itself for
     the exp kinds (exp(L), whose column shift the normalization cancels),
     1 - e^-raw for softplus (the logistic, exact where 1 + tanh(L/2)
-    rounds to 0) and min(raw, 1) for elu. Every kind's logit step is
-    ``dL = dX Pᵀ + Q dXᵀ`` in the positions-by-channels view, with E1, E2
-    the embeddings and a1, a2 the pair scorer's halves; each kind forms it
-    in its cheapest way:
+    rounds to 0) and min(raw, 1) for elu. Every kind takes the one logit
+    step ``dL = dX Pᵀ + Q dXᵀ`` in the positions-by-channels view, with E1,
+    E2 the embeddings and a1, a2 the pair scorer's halves:
 
-        kind           P                    Q                    dL formed as
-        gaussian       X                    X                    A + Aᵀ, A = dX Xᵀ
-        embedded, dot  E2 W1                E1 W2                dX Pᵀ + Q dXᵀ
-        concat         constant rows W1ᵀa1  constant rows W2ᵀa2  (dX W1ᵀa1) 1ᵀ + 1 (dX W2ᵀa2)ᵀ
+        kind           P                    Q
+        gaussian       X                    X
+        embedded, dot  E2 W1                E1 W2
+        concat         constant rows W1ᵀa1  constant rows W2ᵀa2
 
     With column sums s, R = raw / s and F = X W_fᵀ, the branch is
     g = R F W_lᵀ; so for q = logit_scale phi'(L) * dL,
@@ -522,28 +521,17 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     conv = block.focus.T @ last_t  # K
     ones = np.ones(height * width)
     if block.kind == "gaussian":
-
-        def logit_step(dpos: np.ndarray) -> np.ndarray:
-            half = dpos @ pos.T
-            return half + half.swapaxes(-1, -2)
-
+        p_rows = q_rows = pos
     elif block.kind == "concat":
         a1, a2 = np.split(block.pair_scorer[0], 2)
-        scorers = np.stack([block.embed1.T @ a1, block.embed2.T @ a2], axis=1)
-
-        def logit_step(dpos: np.ndarray) -> np.ndarray:
-            scores = dpos @ scorers  # (P, m, 2): the row and the column terms
-            return scores[..., :, :1] + scores[..., None, :, 1]
-
+        p_rows = np.broadcast_to(block.embed1.T @ a1, pos.shape)
+        q_rows = np.broadcast_to(block.embed2.T @ a2, pos.shape)
     else:
         p_rows, q_rows = (pos @ block.embed2.T) @ block.embed1, (pos @ block.embed1.T) @ block.embed2
 
-        def logit_step(dpos: np.ndarray) -> np.ndarray:
-            return dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2)
-
     def step(v: np.ndarray) -> np.ndarray:
         dpos = grid_to_matrix(v)
-        q = logit_step(dpos)
+        q = dpos @ p_rows.T + q_rows @ dpos.swapaxes(-1, -2)
         q *= slope
         q_sums = ones @ q  # column sums, (P, m)
         # (dR F + R dF) W_lᵀ = q G + R (dX K - colsum(q) G)

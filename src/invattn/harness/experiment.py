@@ -36,7 +36,7 @@ from .metrics import compute_ssim
 from .ppm import load_ppm, save_ppm
 
 SYNTHETIC_SOURCES = ("gradient", "checkerboard", "gaussian-noise")
-_VSCORE_MSE_LIMIT = 10.0  # an image counts as reconstructed below this MSE
+_VSCORE_MSE_LIMIT = 10.0  # a converged image counts as reconstructed below this MSE
 _DOMAIN_SLACK = 1e-6  # a preimage entry farther outside [0, 1] is no pixel
 # memory guard for what stays quadratic in the m grid positions: linearize's
 # two m x m arrays and its (P, m, m) q, the row-normalized
@@ -362,11 +362,16 @@ def logdet_fields(
     return estimate
 
 
+def _reconstructed(record: dict) -> bool:
+    """The V-score's and ``invattn invert``'s one verdict: converged, and MSE below the limit."""
+    return record["converged"] and record["mse"] < _VSCORE_MSE_LIMIT
+
+
 def _aggregate(kind: str, records: list[dict]) -> KindSummary:
     mses = [r["mse"] for r in records]
     ssims = [r["ssim"] for r in records if r.get("ssim") is not None]
     mean_ssim = float(np.mean(ssims)) if ssims else float("nan")
-    v_score = float(np.mean([m < _VSCORE_MSE_LIMIT for m in mses]))
+    v_score = float(np.mean([_reconstructed(r) for r in records]))
     return KindSummary(kind=kind, mean_mse=float(np.mean(mses)), mean_ssim=mean_ssim, v_score=v_score)
 
 

@@ -10,8 +10,8 @@ central finite difference, is the independent reference: the dense oracle,
 :func:`logdet_series_from_branch` (any branch callable) and the Lipschitz
 local probes use it. All probes advance in lockstep, each series step one
 J_g over the whole probe stack, split by ``attention._in_stacks``. The
-exact oracle, up to :data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, the
-columns of J_g being one JVP along the unit vectors.
+exact oracle, up to :data:`DENSE_ORACLE_MAX_DIM`, is LU of I + J_g, J_g
+being the :func:`_dense_jacobian` of one JVP.
 
 Every branch callable passed here must map a (B, C, H, W) stack of grids
 to the stack of its per-grid outputs; every direction argument is a
@@ -192,10 +192,18 @@ def logdet_series(
     return _series_estimate(linearize(block, x), x.shape, cfg or LogDetConfig())
 
 
+def _dense_jacobian(step: Callable[[np.ndarray], np.ndarray], x: FeatureGrid) -> np.ndarray:
+    """The d x d matrix (d = ``x.size``) of a direction-stack map at ``x``,
+    such as :func:`jvp` of a branch or ``linearize(block, x)``: ``step``
+    takes the d unit vectors as one stack and splits it under the stack cap."""
+    dim = x.size
+    return step(np.eye(dim).reshape((dim,) + x.shape)).reshape(dim, dim).T
+
+
 def brute_force_logdet_from_branch(branch: Callable[[FeatureGrid], FeatureGrid], x: FeatureGrid) -> float:
-    """Exact ln|det J_f(x)| for f = id + branch: LU of I + J_g, the columns
-    of J_g being one :func:`jvp` of ``branch`` (step :data:`FD_STEP`) along
-    the unit vectors.
+    """Exact ln|det J_f(x)| for f = id + branch: LU of I + J_g, with J_g the
+    :func:`_dense_jacobian` of :func:`jvp` of ``branch`` (step
+    :data:`FD_STEP`).
 
     ``branch`` must map a (B, C, H, W) stack of grids; non-finite output
     raises :class:`FloatingPointError`. Asserts the determinant sign is +1,
@@ -207,8 +215,8 @@ def brute_force_logdet_from_branch(branch: Callable[[FeatureGrid], FeatureGrid],
     dim = x.size
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"brute_force_logdet is limited to d <= {DENSE_ORACLE_MAX_DIM}, got {dim}")
-    columns = jvp(branch, x, np.eye(dim).reshape((dim,) + x.shape), FD_STEP)
-    logabs, sign = lu_logabsdet(np.eye(dim) + columns.reshape(dim, dim).T)
+    jac = _dense_jacobian(lambda v: jvp(branch, x, v, FD_STEP), x)
+    logabs, sign = lu_logabsdet(np.eye(dim) + jac)
     if sign != 1:
         raise InvariantViolation(
             f"Jacobian determinant sign {sign:+d}, expected +1 under the contraction bound"

@@ -22,6 +22,7 @@ from invattn.harness.experiment import (
     EXIT_IO,
     EXIT_OK,
     ExperimentConfig,
+    _aggregate,
     _image_stacks,
     config_from_mapping,
     format_summary,
@@ -474,7 +475,7 @@ class TestRunExperiment:
         for line in summary[2:]:
             kind = line.split("|")[0].strip()
             mine = [r for r in records if r["kind"] == kind]
-            vscore = sum(r["mse"] < 10.0 for r in mine) / len(mine)
+            vscore = sum(r["converged"] and r["mse"] < 10.0 for r in mine) / len(mine)
             assert f"{100.0 * vscore:7.3f}%" in line
 
     def test_record_mse_matches_saved_reconstruction(self, tmp_path):
@@ -710,6 +711,15 @@ class TestRunExperiment:
         assert lines[0].split("|")[0].strip() == "kind"
         assert "gaussian" in lines[2]
         assert "100.000%" in lines[2]
+
+    def test_vscore_does_not_count_an_unconverged_record(self):
+        # a small MSE alone is not a reconstruction: `invert` refuses this
+        # record, so the V-score does not count it either
+        records = [
+            {"kind": "gaussian", "index": 0, "mse": 0.0, "ssim": 1.0, "converged": True},
+            {"kind": "gaussian", "index": 1, "mse": 3.0, "ssim": 0.99, "converged": False},
+        ]
+        assert _aggregate("gaussian", records).v_score == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,8 +17,17 @@ from invattn.attention import (
     raw_response,
 )
 from invattn.errors import InvariantViolation
+from invattn.harness.experiment import (
+    SYNTHETIC_SOURCES,
+    ExperimentConfig,
+    make_block,
+    squeeze_levels,
+    synthetic_batch,
+)
+from invattn.inversion import roundtrip
 from invattn.logdet import (
     LogDetConfig,
+    _dense_jacobian,
     _probe_trace_samples,
     brute_force_logdet,
     brute_force_logdet_from_branch,
@@ -33,17 +43,6 @@ def linear_branch(matrix):
         return (x.reshape(x.shape[: x.ndim - 3] + (-1,)) @ matrix.T).reshape(x.shape)
 
     return branch
-
-
-def dense_jacobian(branch, x):
-    """J_g(x) column by column, with the oracle's step :data:`logdet.FD_STEP`."""
-    dim = x.size
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        direction = np.zeros(dim)
-        direction[j] = 1.0
-        jac[:, j] = jvp(branch, x, direction.reshape(x.shape)[None], logdet.FD_STEP).ravel()
-    return jac
 
 
 def series_trace_power(branch, x, k, samples, seed):
@@ -105,7 +104,7 @@ class TestJvp:
         block = build_block("embedded", "invertible", 3, seed=2)
         branch = make_residual_branch(block)
         x = rng.uniform(0, 1, (3, 4, 4))
-        jac = dense_jacobian(branch, x)
+        jac = _dense_jacobian(lambda v: jvp(branch, x, v), x)
         for _ in range(5):
             v = rng.standard_normal(x.shape)
             got = jvp(branch, x, v[None]).ravel()
@@ -394,7 +393,7 @@ class TestHutchinsonTracePower:
         block = build_block("embedded", "invertible", 3, seed=28)
         x = np.random.default_rng(1028).uniform(0, 1, (3, 4, 4))  # d = 48
         branch = make_residual_branch(block)
-        true_cube = float(np.trace(np.linalg.matrix_power(dense_jacobian(branch, x), 3)))
+        true_cube = float(np.trace(np.linalg.matrix_power(_dense_jacobian(lambda v: jvp(branch, x, v), x), 3)))
         est = series_trace_power(branch, x, 3, samples=2048, seed=6)
         assert abs(est - true_cube) / abs(true_cube) <= 0.05
 
@@ -589,7 +588,133 @@ class TestBruteForce:
     def test_column_chunks_on_attention_branch(self, monkeypatch):
         block = build_block("embedded", "invertible", 3, seed=12)
         x = np.random.default_rng(9).uniform(0, 1, (3, 4, 4))  # d = 48
+        branch = make_residual_branch(block)
+        jac = np.eye(x.size) + _dense_jacobian(lambda v: jvp(branch, x, v), x)
         monkeypatch.setattr(attention, "_STACK_ELEMENTS", 5 * 16**2)  # 5 columns per branch call
         got = brute_force_logdet(block, x)
-        jac = np.eye(x.size) + dense_jacobian(make_residual_branch(block), x)
         assert abs(got - float(np.linalg.slogdet(jac)[1])) <= 1e-8
+
+
+class TestDenseJacobian:
+    def test_linear_map_is_its_own_matrix(self):
+        m = np.random.default_rng(70).standard_normal((12, 12))
+        assert np.array_equal(_dense_jacobian(linear_branch(m), np.zeros((3, 2, 2))), m)
+
+    def test_directions_split_under_the_stack_cap(self, monkeypatch):
+        branch = make_residual_branch(build_block("dot", "invertible", 3, seed=71))
+        x = np.random.default_rng(72).uniform(0, 1, (3, 2, 2))  # d = 12
+        whole = _dense_jacobian(lambda v: jvp(branch, x, v), x)
+        grids = []
+
+        def counting(y):
+            grids.append(y.shape[0])
+            return branch(y)
+
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 5 * 4**2)  # 5 grids per branch call
+        assert np.array_equal(_dense_jacobian(lambda v: jvp(counting, x, v), x), whole)
+        assert grids == [5, 5, 5, 5, 2, 2]  # plus and minus per chunk
+
+    def test_nonfinite_column_in_a_later_chunk_raises_through_the_oracle(self, monkeypatch):
+        m = np.random.default_rng(73).standard_normal((12, 12)) * 0.1
+        linear = linear_branch(m)
+
+        def bad_last_column(y):
+            out = linear(y)
+            out[y.reshape(y.shape[0], -1)[:, -1] != 0.0] = np.nan
+            return out
+
+        monkeypatch.setattr(attention, "_STACK_ELEMENTS", 5)  # 5 columns per branch call
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            brute_force_logdet_from_branch(bad_last_column, np.zeros((12, 1, 1)))
+
+
+SWEEP_SIZE = 8  # d = 3 * 8**2 = 192 at every squeeze level
+
+
+def accepted_squeeze_levels(size):
+    """The squeeze levels that ExperimentConfig.validate accepts at ``size``."""
+
+    def accepted(levels):
+        try:
+            ExperimentConfig(size=size, squeeze_levels=levels).validate()
+        except ValueError:
+            return False
+        return True
+
+    return [levels for levels in range(-1, size) if accepted(levels)]
+
+
+@dataclass
+class SweepPoint:
+    label: str
+    x: np.ndarray
+    jac: np.ndarray  # linearize's dense J_g
+    jac_fd: np.ndarray  # FD jvp's dense J_g
+    oracle: float | InvariantViolation | None  # brute_force_logdet's value or refusal; None at solutions
+
+
+def sweep_configs():
+    """Every kind x phi (dot and concat only) x accepted squeeze level, as
+    the size-8, seed-1 config of its ``make_block`` block."""
+    return [
+        (kind, ExperimentConfig(size=SWEEP_SIZE, seed=1, phi=phi, squeeze_levels=levels))
+        for kind in KINDS
+        for phi in (PHI_CHOICES[:1] if kind in attention._EXP_KINDS else PHI_CHOICES)
+        for levels in accepted_squeeze_levels(SWEEP_SIZE)
+    ]
+
+
+@pytest.fixture(scope="module")
+def jacobian_sweep():
+    """Dense J_g of every :func:`sweep_configs` block at two seed-0 images of
+    each synthetic source and at their roundtrip solutions. The oracle runs
+    at the images, and its own FD Jacobian is recorded there, so each FD
+    Jacobian is built once."""
+    points = []
+    oracle_jacobians = []
+
+    def recording(step, x):
+        oracle_jacobians.append(_dense_jacobian(step, x))
+        return oracle_jacobians[-1]
+
+    def oracle_outcome(block, x):
+        try:
+            return brute_force_logdet(block, x)
+        except InvariantViolation as refusal:
+            return refusal
+
+    images = [(f"{source} {j}", image) for source in SYNTHETIC_SOURCES
+              for j, image in enumerate(synthetic_batch(source, SWEEP_SIZE, 2, 0))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logdet, "_dense_jacobian", recording)
+        for kind, cfg in sweep_configs():
+            block = make_block(cfg, kind)
+            branch = make_residual_branch(block)
+            inputs = np.stack([squeeze_levels(image, cfg.squeeze_levels) for _, image in images])
+            solutions, _ = roundtrip(inputs, block, cfg.inversion)
+            for (name, _), x, solution in zip(images, inputs, solutions):
+                label = f"{kind}/{cfg.phi}/squeeze {cfg.squeeze_levels}/{name}"
+                oracle = oracle_outcome(block, x)
+                jac = _dense_jacobian(linearize(block, x), x)
+                points.append(SweepPoint(f"{label}/input", x, jac, oracle_jacobians.pop(), oracle))
+                jac = _dense_jacobian(linearize(block, solution), solution)
+                jac_fd = _dense_jacobian(lambda v: jvp(branch, solution, v), solution)
+                points.append(SweepPoint(f"{label}/solution", solution, jac, jac_fd, None))
+    return points
+
+
+class TestJacobianSweep:
+    def test_linearize_matches_finite_differences_at_every_point(self, jacobian_sweep):
+        off = [p.label for p in jacobian_sweep if np.abs(p.jac - p.jac_fd).max() > 1e-8 * np.abs(p.jac_fd).max()]
+        assert not off
+
+    def test_oracle_agrees_with_linearize_or_refuses_at_every_input(self, jacobian_sweep):
+        for p in jacobian_sweep:
+            if p.oracle is None:
+                continue
+            sign, logabs = np.linalg.slogdet(np.eye(p.x.size) + p.jac)
+            if sign > 0:
+                assert not isinstance(p.oracle, InvariantViolation), p.label
+                assert abs(p.oracle - logabs) <= 1e-8, p.label
+            else:
+                assert isinstance(p.oracle, InvariantViolation), p.label
