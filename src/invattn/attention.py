@@ -33,11 +33,10 @@ FeatureGrid = np.ndarray
 
 KINDS = ("gaussian", "embedded", "dot", "concat")
 VARIANTS = ("invertible", "noninvertible")
-PHI_CHOICES = ("softplus", "elu")
 _EXP_KINDS = ("gaussian", "embedded")
 
 BLOCK_FORMAT = "invattn-block"
-BLOCK_FORMAT_VERSION = 5
+BLOCK_FORMAT_VERSION = 6
 # A stacked apply of :func:`linearize` holds a few (grids, m, m) arrays (its
 # q), and so does a row-normalized (non-invertible gaussian or embedded)
 # branch call: cap grids * m^2 so that each stays within 4 MB in float64.
@@ -50,7 +49,7 @@ _STACK_GRIDS = 64
 # takes four (m, 256) slabs, which stay in cache where one (m, m) response does
 # not. 32-column slabs lose that gain to per-slab overhead.
 _BLOCK_COLS = 256
-_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "phi", "logit_scale", "weights")
+_CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "logit_scale", "weights")
 
 
 # ---------------------------------------------------------------------------
@@ -109,36 +108,29 @@ def _in_stacks(step, v: np.ndarray, source: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Nonnegative activations for invertible dot/concat responses
+# The nonnegative activation of invertible dot/concat responses
 # ---------------------------------------------------------------------------
 
 
-def apply_phi(x: np.ndarray, selector: str) -> np.ndarray:
-    """Apply the selected activation to a copy of ``x``; output is >= 0 for
-    every real input, and ``x`` is left as it was."""
+def apply_phi(x: np.ndarray) -> np.ndarray:
+    """Softplus of a copy of ``x``; output is >= 0 for every real input, and
+    ``x`` is left as it was."""
     a = np.asarray(x)
-    return _phi_in_place(a.astype(np.result_type(a, 1.0)), selector)
+    return _phi_in_place(a.astype(np.result_type(a, 1.0)))
 
 
-def _phi_in_place(a: np.ndarray, selector: str) -> np.ndarray:
-    """:func:`apply_phi` written over the float array ``a``, which it returns."""
-    if selector == "softplus":
-        # log1p(e^a) in place, in two passes with no scratch array. From
-        # log(max float) up, e^a overflows and softplus(a) rounds to a, so those
-        # entries (and NaN) keep a; the mask is built only when one is there
-        # (huge logit scales)
-        big = np.log(np.finfo(a.dtype).max)
-        live = a < big if a.size and not a.max() < big else True
-        np.exp(a, out=a, where=live)
-        np.log1p(a, out=a, where=live)
-        return a
-    if selector == "elu":
-        # shifted ELU: a+1 for a > 0, exp(a) otherwise; smooth at 0 and > 0
-        positive = a > 0.0
-        np.exp(a, out=a, where=~positive)
-        np.add(a, 1.0, out=a, where=positive)
-        return a
-    raise ValueError(f"unknown phi selector {selector!r}; choose from {PHI_CHOICES}")
+def _phi_in_place(a: np.ndarray) -> np.ndarray:
+    """:func:`apply_phi` written over the float array ``a``, which it returns.
+
+    log1p(e^a) in place, in two passes with no scratch array. From log(max
+    float) up, e^a overflows and softplus(a) rounds to a, so those entries
+    (and NaN) keep a; the mask is built only when one is there (huge logit
+    scales)."""
+    big = np.log(np.finfo(a.dtype).max)
+    live = a < big if a.size and not a.max() < big else True
+    np.exp(a, out=a, where=live)
+    np.log1p(a, out=a, where=live)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +159,13 @@ def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
 # ---------------------------------------------------------------------------
 
 
-def check_settings(kind: str, variant: str, phi: str, c: float, logit_scale: float) -> None:
-    """Refuse a block setting outside its domain: kind, variant and phi must
-    be known, ``c`` in (0, 1) and ``logit_scale`` finite."""
+def check_settings(kind: str, variant: str, c: float, logit_scale: float) -> None:
+    """Refuse a block setting outside its domain: kind and variant must be
+    known, ``c`` in (0, 1) and ``logit_scale`` finite."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    if phi not in PHI_CHOICES:
-        raise ValueError(f"unknown phi {phi!r}; choose from {PHI_CHOICES}")
     if not (0.0 < c < 1.0):
         raise ValueError(f"c must be in (0, 1), got {c}")
     if not math.isfinite(logit_scale):
@@ -230,11 +220,10 @@ class AttentionBlock:
     embed2: np.ndarray | None = None
     pair_scorer: np.ndarray | None = None
     c: float = 0.9
-    phi: str = "softplus"
     logit_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        check_settings(self.kind, self.variant, self.phi, self.c, self.logit_scale)
+        check_settings(self.kind, self.variant, self.c, self.logit_scale)
         given = {}
         for role in _WEIGHT_ROLES:
             if getattr(self, role) is not None:
@@ -280,7 +269,12 @@ def build_block(
     The response-path weights (embeddings and pair scorer) stay free,
     matching the relaxed conditions the invertible variant targets; a
     noninvertible block keeps its focus as drawn.
+
+    Softplus is the one activation of invertible dot and concat responses:
+    ``phi`` is accepted only as ``"softplus"`` and refused otherwise.
     """
+    if phi != "softplus":
+        raise ValueError(f"phi is softplus, the one activation; got phi={phi!r}")
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
@@ -292,7 +286,7 @@ def build_block(
         for power_seed, role in enumerate(_BOUNDED_ROLES, start=seed):
             estimate = power_iteration(weights[role], iters=1000, tol=1e-15, seed=power_seed)
             weights[role] = spectral_normalize(weights[role], c, estimate)
-    return AttentionBlock(kind=kind, variant=variant, **weights, c=c, phi=phi, logit_scale=logit_scale)
+    return AttentionBlock(kind=kind, variant=variant, **weights, c=c, logit_scale=logit_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +338,9 @@ def raw_response(
     invertible one); the normalized map is unchanged by the shift and the
     exponentials cannot overflow. The column shift lies within any column
     slab; the row shift needs every column. Invertible dot/concat scores pass
-    through the nonnegative activation phi.
+    through softplus, which makes them nonnegative.
 
-    The shifted exp or phi overwrites the logits in place. With ``out`` (a
+    The shifted exp or softplus overwrites the logits in place. With ``out`` (a
     float64 array of the result's shape, such as a view of a caller's
     workspace) the logits are written and activated there and ``out`` is
     returned; without it a new array is. The values are the same.
@@ -359,7 +353,7 @@ def raw_response(
         logits -= logits.max(axis=-2 if block.variant == "invertible" else -1, keepdims=True)
         return np.exp(logits, out=logits)
     if block.variant == "invertible":
-        return _phi_in_place(logits, block.phi)
+        return _phi_in_place(logits)
     return logits
 
 
@@ -476,10 +470,10 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     raw = phi(L) comes from :func:`raw_response`, which evaluates the
     logits L once, and the slope phi'(L) is read off raw: raw itself for
     the exp kinds (exp(L), whose column shift the normalization cancels),
-    1 - e^-raw for softplus (the logistic, exact where 1 + tanh(L/2)
-    rounds to 0) and min(raw, 1) for elu. Every kind takes the one logit
-    step ``dL = dX Pᵀ + Q dXᵀ`` in the positions-by-channels view, with E1,
-    E2 the embeddings and a1, a2 the pair scorer's halves:
+    and 1 - e^-raw for dot and concat's softplus (the logistic, exact where
+    1 + tanh(L/2) rounds to 0). Every kind takes the one logit step
+    ``dL = dX Pᵀ + Q dXᵀ`` in the positions-by-channels view, with E1, E2
+    the embeddings and a1, a2 the pair scorer's halves:
 
         kind           P                    Q
         gaussian       X                    X
@@ -504,12 +498,10 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     raw = raw_response(x, block)
     if block.kind in _EXP_KINDS:
         slope = raw.copy()
-    elif block.phi == "softplus":
+    else:
         slope = np.negative(raw)
         np.expm1(slope, out=slope)
         np.negative(slope, out=slope)
-    else:
-        slope = np.minimum(raw, 1.0)
     slope *= block.logit_scale
     pos = grid_to_matrix(x)
     sums = raw.sum(axis=0)
@@ -634,21 +626,24 @@ def block_to_dict(block: AttentionBlock) -> dict:
         "kind": block.kind,
         "variant": block.variant,
         "c": block.c,
-        "phi": block.phi,
         "logit_scale": block.logit_scale,
         "weights": {role: _matrix_to_dict(getattr(block, role)) for role in _WEIGHT_ROLES},
     }
 
 
 def block_from_dict(d: dict) -> AttentionBlock:
-    """Rebuild a block from :func:`block_to_dict` output. A container that
-    lacks a key it writes, or has a malformed ``weights`` mapping or weight
-    entry, is refused by name; weights are read as float64. So is an
-    invertible container whose focus or last has spectral norm above ``c``
-    (past a 1e-6 rounding allowance, from a dense SVD):
-    only :func:`build_block` bounds the weights, so a container edited or
-    saved after a bound-breaking stress would load as an uncertified
-    block."""
+    """Rebuild a block from :func:`block_to_dict` output. A container with a
+    key it does not write (such as an earlier version's ``phi``) or that
+    lacks one it writes, or that has a malformed ``weights`` mapping or
+    weight entry, is refused by name, the keys before the version; weights
+    are read as float64. So is an invertible container whose focus or last
+    has spectral norm above ``c`` (past a 1e-6 rounding allowance, from a
+    dense SVD): only :func:`build_block` bounds the weights, so a container
+    edited or saved after a bound-breaking stress would load as an
+    uncertified block."""
+    for key in d:
+        if key not in _CONTAINER_KEYS:
+            raise ValueError(f"block container has the unknown key {key!r}")
     for key in _CONTAINER_KEYS:
         if key not in d:
             raise ValueError(f"block container lacks the key {key!r}")
@@ -664,7 +659,6 @@ def block_from_dict(d: dict) -> AttentionBlock:
         variant=d["variant"],
         **weights,
         c=float(d["c"]),
-        phi=d["phi"],
         logit_scale=float(d["logit_scale"]),
     )
     if block.variant == "invertible":

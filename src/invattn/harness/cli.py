@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from ..attention import KINDS, VARIANTS, PHI_CHOICES, make_residual_branch
+from ..attention import KINDS, VARIANTS, make_residual_branch
 from ..errors import InvariantViolation, PpmParseError
 from ..inversion import estimate_lipschitz, normal_sampler
 from ..logdet import DENSE_ORACLE_MAX_DIM
@@ -56,6 +56,7 @@ def _add_block_flags(sub: argparse.ArgumentParser, single_kind: bool) -> None:
     # every dest is an ExperimentConfig key; a flag left unset keeps the config's value
     if single_kind:
         sub.add_argument("--kind", dest="kinds", choices=KINDS, default="embedded")
+        sub.add_argument("--image", help="input .ppm (default: image 0 of the synthetic batch)")
     else:
         sub.add_argument("--kind", dest="kinds", help="comma-separated kinds (default: all four)")
     sub.add_argument("--variant", choices=VARIANTS)
@@ -64,7 +65,7 @@ def _add_block_flags(sub: argparse.ArgumentParser, single_kind: bool) -> None:
     sub.add_argument("--c", type=float, help="Lipschitz target in (0, 1)")
     sub.add_argument("--iters", type=int, help="inverse iteration count N")
     sub.add_argument("--squeeze", dest="squeeze_levels", type=int, help="squeeze levels before the block")
-    sub.add_argument("--phi", choices=PHI_CHOICES)
+    sub.add_argument("--synthetic", choices=SYNTHETIC_SOURCES)
 
 
 def build_parser() -> _Parser:
@@ -75,7 +76,6 @@ def build_parser() -> _Parser:
     run_p.add_argument("--config", help="flat key = value config file; flags win")
     _add_block_flags(run_p, single_kind=False)
     run_p.add_argument("--out", dest="out_dir", help="output directory")
-    run_p.add_argument("--synthetic", choices=SYNTHETIC_SOURCES)
     run_p.add_argument("--image-dir", help="directory of .ppm inputs")
     run_p.add_argument("--batch", type=int)
     run_p.add_argument("--tol", type=float)
@@ -88,8 +88,6 @@ def build_parser() -> _Parser:
 
     inv_p = commands.add_parser("invert", help="single-image forward + inverse roundtrip")
     _add_block_flags(inv_p, single_kind=True)
-    inv_p.add_argument("--image", help="input .ppm (default: synthetic checkerboard)")
-    inv_p.add_argument("--synthetic", choices=SYNTHETIC_SOURCES)
     inv_p.add_argument("--tol", type=float)
     inv_p.add_argument("--out", help="where to write the reconstruction .ppm")
 

@@ -64,7 +64,6 @@ class ExperimentConfig:
     size: int = 16
     batch: int = 8
     c: float = 0.9
-    phi: str = "softplus"
     iters: int = 100
     tol: float = 1e-10
     seed: int = 0
@@ -82,7 +81,7 @@ class ExperimentConfig:
         if not self.kinds:
             raise ValueError("at least one kind is required")
         for kind in self.kinds:
-            check_settings(kind, self.variant, self.phi, self.c, self.stress_logit_scale)
+            check_settings(kind, self.variant, self.c, self.stress_logit_scale)
         if self.image_dir is None and self.synthetic not in SYNTHETIC_SOURCES:
             raise ValueError(f"unknown synthetic source {self.synthetic!r}")
         if not (2 <= self.size <= _MAX_IMAGE_SIZE):
@@ -109,6 +108,13 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.stress_weight_scale):
             raise ValueError(f"stress_weight_scale must be finite, got {self.stress_weight_scale}")
+
+    @property
+    def phi(self) -> str:
+        """The activation of invertible dot and concat blocks: always
+        softplus, and no config key. ``invbench/run.py`` passes it to
+        :func:`build_block`'s ``phi`` keyword."""
+        return "softplus"
 
     @property
     def inversion(self) -> InversionConfig:
@@ -245,7 +251,6 @@ def make_block(cfg: ExperimentConfig, kind: str) -> AttentionBlock:
         cfg.variant,
         3 * 4**cfg.squeeze_levels,
         c=cfg.c,
-        phi=cfg.phi,
         seed=1009 * cfg.seed + KINDS.index(kind),
         logit_scale=cfg.stress_logit_scale,
     )

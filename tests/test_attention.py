@@ -8,7 +8,6 @@ import pytest
 
 from invattn import attention
 from invattn.attention import (
-    PHI_CHOICES,
     AttentionBlock,
     apply_1x1_conv,
     apply_phi,
@@ -90,13 +89,12 @@ class TestFeatureGrid:
 
 
 class TestPhi:
-    @pytest.mark.parametrize("selector", PHI_CHOICES)
-    def test_nonnegative_everywhere(self, selector):
+    def test_nonnegative_everywhere(self):
         values = np.array([-1e6, -50.0, -1.0, 0.0, 1.0, 50.0, 1e6])
-        assert np.all(apply_phi(values, selector) >= 0.0)
+        assert np.all(apply_phi(values) >= 0.0)
 
     def test_softplus_is_stable_for_large_inputs(self):
-        out = apply_phi(np.array([1000.0]), "softplus")
+        out = apply_phi(np.array([1000.0]))
         assert np.isfinite(out[0]) and abs(out[0] - 1000.0) < 1e-9
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -114,7 +112,7 @@ class TestPhi:
         spread = np.random.default_rng(0).normal(0.0, 20.0, 1000)
         x = np.concatenate([edges, spread, np.linspace(-40.0, 40.0, 801)]).astype(dtype)
         before = x.copy()
-        got = apply_phi(x, "softplus")
+        got = apply_phi(x)
         want = np.logaddexp(dtype(0.0), x)
         assert got.dtype == dtype
         assert np.array_equal(x, before)  # the input is not overwritten
@@ -124,17 +122,7 @@ class TestPhi:
 
     def test_softplus_maps_a_stack(self):
         x = np.random.default_rng(1).normal(0.0, 5.0, (3, 4, 4))
-        assert np.array_equal(apply_phi(x, "softplus"), np.stack([apply_phi(a, "softplus") for a in x]))
-
-    def test_elu_shift_continuous_at_zero(self):
-        eps = 1e-9
-        vals = apply_phi(np.array([-eps, 0.0, eps]), "elu")
-        assert np.all(np.abs(vals - 1.0) < 1e-8)
-
-    def test_unknown_selector(self):
-        for selector in ("tanh", "relu"):
-            with pytest.raises(ValueError, match="unknown phi selector"):
-                apply_phi(np.zeros(2), selector)
+        assert np.array_equal(apply_phi(x), np.stack([apply_phi(a) for a in x]))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +491,7 @@ class TestBlockConstruction:
         assert (weights[role] is not None) == carried
         weights[role] = None if carried else np.ones((2, 4))
         with pytest.raises(ValueError, match=role):
-            AttentionBlock(kind=kind, variant=variant, **weights, c=block.c, phi=block.phi)
+            AttentionBlock(kind=kind, variant=variant, **weights, c=block.c)
 
     @pytest.mark.parametrize("channels", [3, 12, 48])
     @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
@@ -598,12 +586,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             block_from_dict(bad)
         # version 1 stored an option, version 2 per-weight bounds and power-
-        # iteration states, version 3 a column-sum target, and version 4 a
-        # precision, that this version no longer reads
-        for version in (1, 2, 3, 4, 99):
+        # iteration states, version 3 a column-sum target, version 4 a
+        # precision and version 5 an activation, that this version no longer
+        # reads; a key it does not write is refused by name first
+        for version in (1, 2, 3, 4, 5, 99):
             with pytest.raises(ValueError, match="container version"):
                 block_from_dict(dict(payload, version=version))
-        with pytest.raises(ValueError, match="container version 4"):
+        with pytest.raises(ValueError, match="unknown key 'precision'"):
             block_from_dict(dict(payload, version=4, precision="float64"))  # as version 4 wrote it
 
     @pytest.mark.parametrize("key", list(block_to_dict(build_block("concat", "invertible", 3))))
@@ -655,9 +644,10 @@ class TestSerialization:
         save_block(block, path)
         parsed = json.loads(path.read_text())
         assert parsed["format"] == "invattn-block"
-        assert parsed["version"] == 5
+        assert parsed["version"] == 6
         assert "column_sum_target" not in parsed
         assert "precision" not in parsed
+        assert "phi" not in parsed
         assert parsed["weights"]["pair_scorer"]["shape"] == [1, 2]
         for role, matrix in parsed["weights"].items():
             assert set(matrix) == {"shape", "data"}, role
@@ -677,23 +667,6 @@ class TestSerialization:
         payload["logit_scale"] = math.nan
         with pytest.raises(ValueError, match="logit_scale must be finite"):
             block_from_dict(payload)
-
-    def test_relu_refused_at_every_constructor(self, tmp_path):
-        # relu breaks the contraction of invertible dot and concat blocks, the
-        # only blocks phi acts on, so it is no phi choice
-        with pytest.raises(ValueError, match="unknown phi 'relu'"):
-            build_block("dot", "invertible", 4, phi="relu")
-        with pytest.raises(ValueError, match="unknown phi 'relu'"):
-            AttentionBlock(kind="dot", variant="invertible", focus=np.eye(3), last=np.eye(3),
-                           embed1=np.eye(3), embed2=np.eye(3), phi="relu")
-        payload = block_to_dict(build_block("concat", "invertible", 3, seed=27))
-        payload["phi"] = "relu"
-        with pytest.raises(ValueError, match="unknown phi 'relu'"):
-            block_from_dict(payload)
-        path = tmp_path / "block.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="unknown phi 'relu'"):
-            load_block(path)
 
     def test_noninvertible_container_keeps_its_free_focus(self):
         payload = block_to_dict(build_block("dot", "noninvertible", 12, seed=3))
@@ -867,14 +840,13 @@ def whole_matrix_branch(x, block):
 
 
 @pytest.mark.parametrize("config", sorted(BLOCKED_CONFIGS))
-@pytest.mark.parametrize("phi", PHI_CHOICES)
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_blocked_forward_matches_whole_matrix(kind, variant, phi, config, monkeypatch):
+def test_blocked_forward_matches_whole_matrix(kind, variant, config, monkeypatch):
     # 5-column slabs: m = 64 and 81 take 13 and 17 slabs, the last one ragged
     monkeypatch.setattr(attention, "_BLOCK_COLS", 5)
     options, dtype = BLOCKED_CONFIGS[config]
-    block = build_block(kind, variant, 4, seed=40, phi=phi, **options)
+    block = build_block(kind, variant, 4, seed=40, **options)
     rng = np.random.default_rng(41)
     for shape in [(4, 8, 8), (4, 9, 9), (3, 4, 9, 9)]:
         x = rng.uniform(0.0, 1.0, shape).astype(dtype)
@@ -967,16 +939,12 @@ def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape):
     assert peak <= BRANCH_PEAK_SLABS * slab_bytes, f"{peak / slab_bytes:.2f} slabs"
 
 
-@pytest.mark.parametrize(
-    "kind, phi",
-    [("gaussian", "softplus"), ("embedded", "softplus")]
-    + [(kind, phi) for kind in ("dot", "concat") for phi in PHI_CHOICES],
-)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
-def test_linearize_holds_at_most_two_square_arrays(kind, phi, logit_scale):
+def test_linearize_holds_at_most_two_square_arrays(kind, logit_scale):
     # the m x m arrays: the raw responses, normalized in place into R, and
     # the slope read off them. The rest are a few m x C arrays.
-    block = build_block(kind, "invertible", 12, seed=47, phi=phi, logit_scale=logit_scale)
+    block = build_block(kind, "invertible", 12, seed=47, logit_scale=logit_scale)
     x = np.random.default_rng(48).uniform(0.0, 1.0, (12, 32, 32))
     m = 32 * 32
     peak = traced_peak(lambda: attention.linearize(block, x))
@@ -990,11 +958,10 @@ def slab_buffer(shape):
 
 
 @pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
-@pytest.mark.parametrize("phi", PHI_CHOICES)
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_out_changes_no_response_value(kind, variant, phi, logit_scale):
-    block = build_block(kind, variant, 4, seed=49, phi=phi, logit_scale=logit_scale)
+def test_out_changes_no_response_value(kind, variant, logit_scale):
+    block = build_block(kind, variant, 4, seed=49, logit_scale=logit_scale)
     assert_out_changes_no_response_value(block, np.random.default_rng(50).uniform(0.0, 1.0, (3, 4, 3, 5)))
 
 
@@ -1098,9 +1065,9 @@ SOFTPLUS_EDGES = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, 1e308, -1e
 def test_forward_softplus_is_apply_phi_bit_for_bit():
     x = np.concatenate([SOFTPLUS_EDGES, np.random.default_rng(53).normal(0.0, 30.0, 1000)])
     logits = x.copy()
-    activated = attention._phi_in_place(logits, "softplus")  # the forward's in-place kernel
+    activated = attention._phi_in_place(logits)  # the forward's in-place kernel
     assert activated is logits
-    assert np.array_equal(activated, apply_phi(x, "softplus"))
+    assert np.array_equal(activated, apply_phi(x))
     # the out-of-place form: log1p(e^x), and x itself from log(max float) up
     with np.errstate(over="ignore"):
         reference = np.where(x < np.log(np.finfo(x.dtype).max), np.log1p(np.exp(x)), x)
@@ -1108,11 +1075,10 @@ def test_forward_softplus_is_apply_phi_bit_for_bit():
     assert np.array_equal(np.signbit(activated), np.signbit(reference))
 
 
-@pytest.mark.parametrize("phi", PHI_CHOICES)
-def test_apply_phi_leaves_its_input_unchanged(phi):
+def test_apply_phi_leaves_its_input_unchanged():
     x = np.concatenate([SOFTPLUS_EDGES, np.random.default_rng(55).normal(0.0, 30.0, 100)])
     before = x.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        apply_phi(x, phi)
+        apply_phi(x)
     assert np.array_equal(x, before)
     assert np.array_equal(np.signbit(x), np.signbit(before))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from invattn import attention, kernels
-from invattn.attention import KINDS, load_block, squeeze
+from invattn.attention import KINDS, AttentionBlock, block_to_dict, build_block, load_block, squeeze
 from invattn.errors import PpmParseError
 from invattn.harness import experiment
 from invattn.harness.cli import build_parser, main
@@ -295,10 +295,6 @@ class TestConfigPlumbing:
         }
         assert unhandled == {}
 
-    def test_relu_phi_refused(self):
-        with pytest.raises(ValueError, match="unknown phi 'relu'"):
-            config_from_mapping({"phi": "relu"})
-
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
@@ -313,7 +309,6 @@ class TestConfigPlumbing:
             {"variant": "sideways"},
             {"vscore_floor": 1.5},
             {"tol": math.inf},
-            {"phi": "tanh"},
             {"c": 1.0},
             {"kinds": ("gaussian", "nope")},
             {"kinds": ()},
@@ -363,7 +358,7 @@ def test_benchmark_setup_builds_every_first_job_block(tmp_path, monkeypatch):
         for k, kind in enumerate(first.kinds):
             block = experiment.build_block(kind, first.variant, channels, c=first.c, phi=first.phi,
                                            seed=first.seed + k)
-            assert (block.kind, block.channels, block.phi) == (kind, channels, first.phi)
+            assert (block.kind, block.channels) == (kind, channels)
 
 
 def test_traced_run_records_every_span_and_matches_untraced(tmp_path):
@@ -780,26 +775,39 @@ class TestCli:
             printed = json.loads(capsys.readouterr().out)
             assert [r for r in runs if r["kind"] == kind] == [printed] * (3 if kind in ("concat", "gaussian") else 2)
 
+    @pytest.mark.parametrize("source", [[], ["--synthetic", "gradient"]])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_logdet_prints_the_logdet_fields_run_records(self, tmp_path, capsys, seed):
+    def test_logdet_prints_the_logdet_fields_run_records(self, tmp_path, capsys, seed, source):
         out = tmp_path / "out"
-        main(["run", "--logdet", "--seed", str(seed), "--batch", "1", "--out", str(out)])
+        main(["run", "--logdet", *source, "--seed", str(seed), "--batch", "1", "--out", str(out)])
         capsys.readouterr()
         for record in read_records(out / "records.jsonl"):
-            assert main(["logdet", "--kind", record["kind"], "--seed", str(seed)]) == EXIT_OK
+            assert main(["logdet", "--kind", record["kind"], *source, "--seed", str(seed)]) == EXIT_OK
             printed = json.loads(capsys.readouterr().out)
             assert printed.pop("probe_variance") > 0
             assert printed == {key: value for key, value in record.items() if key.startswith("logdet_")}
             assert {"logdet_estimate", "logdet_oracle", "logdet_rel_err"} <= set(printed)
 
-    @pytest.mark.parametrize("command", ["run", "invert"])
-    def test_relu_phi_is_config_error(self, tmp_path, capsys, command):
-        # relu breaks the contraction of invertible dot and concat blocks
-        out = tmp_path / "out"
-        flags = ["--out", str(out)] if command == "run" else []
-        assert main([command, "--phi", "relu", "--size", "8", *flags]) == EXIT_CONFIG
-        assert not out.exists()
-        assert "invalid choice: 'relu'" in capsys.readouterr().err
+    def test_phi_refused_at_every_entry_point(self, tmp_path, capsys):
+        # softplus is the one activation, so naming phi anywhere fails loudly
+        with pytest.raises(ValueError, match="unknown config key 'phi'"):
+            config_from_mapping({"phi": "softplus"})
+        for command in ("run", "invert", "logdet", "lipschitz"):
+            out = tmp_path / command
+            flags = ["--out", str(out)] if command in ("run", "invert") else []
+            assert main([command, "--phi", "softplus", "--size", "8", *flags]) == EXIT_CONFIG, command
+            assert not out.exists(), command
+            assert "unrecognized arguments: --phi softplus" in capsys.readouterr().err, command
+        path = tmp_path / "block.json"
+        payload = block_to_dict(build_block("concat", "invertible", 3, seed=27))
+        path.write_text(json.dumps(dict(payload, version=5, phi="softplus")))  # as version 5 wrote it
+        with pytest.raises(ValueError, match="unknown key 'phi'"):
+            load_block(path)
+        with pytest.raises(ValueError, match="phi='elu'"):
+            build_block("dot", "invertible", 4, phi="elu")
+        with pytest.raises(TypeError, match="'phi'"):
+            AttentionBlock(kind="dot", variant="invertible", focus=np.eye(3), last=np.eye(3),
+                           embed1=np.eye(3), embed2=np.eye(3), phi="softplus")
 
     def test_logdet_subcommand(self):
         assert main(["logdet", "--kind", "embedded", "--size", "4", "--squeeze", "0",
@@ -820,9 +828,10 @@ class TestCli:
         for words in lines:
             build_parser().parse_args(words[1:])
 
-    def test_lipschitz_subcommand(self):
+    @pytest.mark.parametrize("source", [[], ["--synthetic", "gradient"]])
+    def test_lipschitz_subcommand(self, source):
         assert main(["lipschitz", "--kind", "gaussian", "--size", "8", "--seed", "1",
-                     "--pairs", "100"]) == EXIT_OK
+                     "--pairs", "100", *source]) == EXIT_OK
 
     def test_unknown_kind_is_config_error(self, tmp_path):
         assert main(["run", "--kind", "nope", "--out", str(tmp_path / "x")]) == EXIT_CONFIG

@@ -8,7 +8,6 @@ import pytest
 from invattn import attention, logdet
 from invattn.attention import (
     KINDS,
-    PHI_CHOICES,
     AttentionBlock,
     build_block,
     grid_to_matrix,
@@ -183,10 +182,9 @@ class TestJvp:
 
 
 LINEARIZE_CONFIGS = {
-    **{phi: {"phi": phi} for phi in PHI_CHOICES},
+    "softplus": {},
     "logit_scale": {"logit_scale": 3.0},
     "logit_scale_150": {"logit_scale": 150.0},
-    "elu_logit_scale_150": {"phi": "elu", "logit_scale": 150.0},
 }
 
 
@@ -305,17 +303,16 @@ def general_linearized_step(block, x, directions):
     """J_g(x) V from the general logit step ``slope * (dX Pᵀ + Q dXᵀ)`` of
     every kind, an explicit dR and a trailing product with W_l, in the
     positions-by-channels view; the slope is phi'(L) from the logits (raw
-    itself for the exp kinds, whose column shift R cancels)."""
+    itself for the exp kinds, whose column shift R cancels, and the logistic
+    for softplus)."""
     pos = grid_to_matrix(x)
     raw = raw_response(x, block)
     logits = pairwise_logits(pos, block)
     with np.errstate(over="ignore"):
         if block.kind in ("gaussian", "embedded"):
             slope = raw
-        elif block.phi == "softplus":
-            slope = 1.0 / (1.0 + np.exp(-logits))
         else:
-            slope = np.where(logits > 0.0, 1.0, np.exp(np.minimum(logits, 0.0)))
+            slope = 1.0 / (1.0 + np.exp(-logits))
     if block.kind == "gaussian":
         p_rows = q_rows = pos
     elif block.kind == "concat":
@@ -347,10 +344,9 @@ class TestPerKindLogitStep:
     step with a trailing W_l product."""
 
     @pytest.mark.parametrize("logit_scale", [1.0, 150.0])
-    @pytest.mark.parametrize("phi", PHI_CHOICES)
     @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_the_general_step(self, kind, phi, logit_scale):
-        block = build_block(kind, "invertible", 4, seed=61, phi=phi, logit_scale=logit_scale)
+    def test_matches_the_general_step(self, kind, logit_scale):
+        block = build_block(kind, "invertible", 4, seed=61, logit_scale=logit_scale)
         rng = np.random.default_rng(62)
         x = rng.uniform(0.0, 1.0, (4, 3, 5))
         assert_matches_general_step(block, x, rng.standard_normal((6, 4, 3, 5)))
@@ -654,12 +650,11 @@ class SweepPoint:
 
 
 def sweep_configs():
-    """Every kind x phi (dot and concat only) x accepted squeeze level, as
-    the size-8, seed-1 config of its ``make_block`` block."""
+    """Every kind x accepted squeeze level, as the size-8, seed-1 config of
+    its ``make_block`` block."""
     return [
-        (kind, ExperimentConfig(size=SWEEP_SIZE, seed=1, phi=phi, squeeze_levels=levels))
+        (kind, ExperimentConfig(size=SWEEP_SIZE, seed=1, squeeze_levels=levels))
         for kind in KINDS
-        for phi in (PHI_CHOICES[:1] if kind in attention._EXP_KINDS else PHI_CHOICES)
         for levels in accepted_squeeze_levels(SWEEP_SIZE)
     ]
 
@@ -693,7 +688,7 @@ def jacobian_sweep():
             inputs = np.stack([squeeze_levels(image, cfg.squeeze_levels) for _, image in images])
             solutions, _ = roundtrip(inputs, block, cfg.inversion)
             for (name, _), x, solution in zip(images, inputs, solutions):
-                label = f"{kind}/{cfg.phi}/squeeze {cfg.squeeze_levels}/{name}"
+                label = f"{kind}/squeeze {cfg.squeeze_levels}/{name}"
                 oracle = oracle_outcome(block, x)
                 jac = _dense_jacobian(linearize(block, x), x)
                 points.append(SweepPoint(f"{label}/input", x, jac, oracle_jacobians.pop(), oracle))
