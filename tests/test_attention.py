@@ -89,8 +89,9 @@ class TestFeatureGrid:
 
 
 class TestPhi:
-    def test_nonnegative_everywhere(self):
-        values = np.array([-1e6, -50.0, -1.0, 0.0, 1.0, 50.0, 1e6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nonnegative_everywhere(self, dtype):
+        values = np.array([-1e6, -50.0, -1.0, 0.0, 1.0, 50.0, 1e6], dtype=dtype)
         assert np.all(apply_phi(values) >= 0.0)
 
     def test_softplus_is_stable_for_large_inputs(self):
@@ -831,6 +832,9 @@ BLOCKED_CONFIGS = {
 # the blocked sum only regroups the R F products, so it agrees with the
 # whole-matrix product to a few units in the last place
 BLOCKED_GAP = 1e-13
+# the interval the input grids are drawn from: a signed grid gives dot and
+# concat logits of both signs, so softplus also runs in its e^L tail
+GRID_RANGES = {"unit": (0.0, 1.0), "signed": (-1.0, 1.0)}
 
 
 def whole_matrix_branch(x, block):
@@ -839,17 +843,18 @@ def whole_matrix_branch(x, block):
     return attn, attn if block.last is None else attn @ block.last.T
 
 
+@pytest.mark.parametrize("grid", GRID_RANGES)
 @pytest.mark.parametrize("config", sorted(BLOCKED_CONFIGS))
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_blocked_forward_matches_whole_matrix(kind, variant, config, monkeypatch):
+def test_blocked_forward_matches_whole_matrix(kind, variant, config, grid, monkeypatch):
     # 5-column slabs: m = 64 and 81 take 13 and 17 slabs, the last one ragged
     monkeypatch.setattr(attention, "_BLOCK_COLS", 5)
     options, dtype = BLOCKED_CONFIGS[config]
     block = build_block(kind, variant, 4, seed=40, **options)
     rng = np.random.default_rng(41)
     for shape in [(4, 8, 8), (4, 9, 9), (3, 4, 9, 9)]:
-        x = rng.uniform(0.0, 1.0, shape).astype(dtype)
+        x = rng.uniform(*GRID_RANGES[grid], shape).astype(dtype)
         want_attn, want_branch = whole_matrix_branch(x, block)
         attn = grid_to_matrix(attention_apply(x, block))
         branch = grid_to_matrix(residual_branch(x, block))
@@ -939,13 +944,15 @@ def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape):
     assert peak <= BRANCH_PEAK_SLABS * slab_bytes, f"{peak / slab_bytes:.2f} slabs"
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
-def test_linearize_holds_at_most_two_square_arrays(kind, logit_scale):
+def test_linearize_holds_at_most_two_square_arrays(kind, logit_scale, dtype):
     # the m x m arrays: the raw responses, normalized in place into R, and
-    # the slope read off them. The rest are a few m x C arrays.
+    # the slope read off them. The rest are a few m x C arrays, a float32
+    # grid's float64 cast among them.
     block = build_block(kind, "invertible", 12, seed=47, logit_scale=logit_scale)
-    x = np.random.default_rng(48).uniform(0.0, 1.0, (12, 32, 32))
+    x = np.random.default_rng(48).uniform(0.0, 1.0, (12, 32, 32)).astype(dtype)
     m = 32 * 32
     peak = traced_peak(lambda: attention.linearize(block, x))
     assert peak <= (2 * m * m + 8 * m * 12) * 8, f"{peak / (m * m * 8):.3f} m x m arrays"
@@ -957,12 +964,14 @@ def slab_buffer(shape):
     return np.full(shape[:-1] + (shape[-1] + 3,), np.nan)[..., : shape[-1]]
 
 
+@pytest.mark.parametrize("grid", GRID_RANGES)
 @pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_out_changes_no_response_value(kind, variant, logit_scale):
+def test_out_changes_no_response_value(kind, variant, logit_scale, grid):
     block = build_block(kind, variant, 4, seed=49, logit_scale=logit_scale)
-    assert_out_changes_no_response_value(block, np.random.default_rng(50).uniform(0.0, 1.0, (3, 4, 3, 5)))
+    xs = np.random.default_rng(50).uniform(*GRID_RANGES[grid], (3, 4, 3, 5))
+    assert_out_changes_no_response_value(block, xs)
 
 
 def test_out_changes_no_dead_column_value():

@@ -183,8 +183,10 @@ class TestJvp:
 
 LINEARIZE_CONFIGS = {
     "softplus": {},
+    "logit_scale_0.1": {"logit_scale": 0.1},  # logits near 0: softplus near log 2 + L/2
     "logit_scale": {"logit_scale": 3.0},
     "logit_scale_150": {"logit_scale": 150.0},
+    "c_0.5": {"c": 0.5},
 }
 
 
@@ -343,7 +345,7 @@ class TestPerKindLogitStep:
     """Each kind's logit step, folded W_l included, against the general
     step with a trailing W_l product."""
 
-    @pytest.mark.parametrize("logit_scale", [1.0, 150.0])
+    @pytest.mark.parametrize("logit_scale", [0.1, 1.0, 3.0, 150.0])
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_the_general_step(self, kind, logit_scale):
         block = build_block(kind, "invertible", 4, seed=61, logit_scale=logit_scale)
