@@ -4,9 +4,9 @@ A feature grid is a plain ``(channels, height, width)`` float64 array. The
 response maps act on its ``positions x channels`` matrix view (one row per
 spatial position); the 1x1 convolutions and the attention forward act on its
 own ``channels x positions`` layout, so they return grids without a
-transposing copy. The maps up to the residual branch
-also take a ``(batch, channels, height, width)`` stack of grids and act on
-each grid of it independently; one grid is a stack with no leading axis.
+transposing copy. Every grid map, the squeeze included, also takes a
+``(batch, channels, height, width)`` stack of grids and acts on each grid of
+it independently; one grid is a stack with no leading axis.
 Four response kinds are supported (gaussian, embedded, dot, concat), each in
 a non-invertible and an invertible variant. The invertible variant wraps raw
 scores so they are nonnegative, normalizes response columns to sum to one
@@ -561,32 +561,45 @@ def make_residual_branch(block: AttentionBlock):
 # ---------------------------------------------------------------------------
 
 
-def squeeze(x: FeatureGrid) -> FeatureGrid:
-    """Reshape (C, H, W) -> (4C, H/2, W/2).
+def squeeze(x: FeatureGrid, levels: int) -> FeatureGrid:
+    """Space-to-depth ``levels`` times: (C, H, W) -> (4^L C, H/2^L, W/2^L)
+    for L = ``levels``, on a grid or on each grid of a stack.
 
-    Output channel 4c + k holds input channel c's sub-pixel k, with k
-    enumerating (top-left, top-right, bottom-left, bottom-right).
+    One level maps channel c to channels 4c + k, k holding the sub-pixel
+    (top-left, top-right, bottom-left, bottom-right) of each 2x2 block. So at
+    depth L, channel 4^L c + 4^(L-1) k1 + ... + kL holds input channel c's
+    sub-pixel k1 of the first level, then k2 of the second, and so on.
     """
     x = as_grid(x)
-    channels, height, width = x.shape
-    if height % 2 != 0 or width % 2 != 0:
-        raise ValueError(f"squeeze requires even spatial dims, got {height}x{width}")
-    blocks = x.reshape(channels, height // 2, 2, width // 2, 2)
-    return np.ascontiguousarray(blocks.transpose(0, 2, 4, 1, 3)).reshape(
-        4 * channels, height // 2, width // 2
-    )
+    if levels < 0:
+        raise ValueError(f"squeeze levels must be >= 0, got {levels}")
+    for _ in range(levels):
+        *lead, channels, height, width = x.shape
+        if height % 2 != 0 or width % 2 != 0:
+            raise ValueError(f"squeeze requires even spatial dims, got {height}x{width}")
+        blocks = x.reshape(*lead, channels, height // 2, 2, width // 2, 2)
+        # (..., c, h, row, w, col) -> (..., c, row, col, h, w)
+        x = np.ascontiguousarray(np.moveaxis(blocks, (-3, -1), (-4, -3))).reshape(
+            *lead, 4 * channels, height // 2, width // 2
+        )
+    return x
 
 
-def unsqueeze(x: FeatureGrid) -> FeatureGrid:
-    """Exact inverse of :func:`squeeze`."""
+def unsqueeze(x: FeatureGrid, levels: int) -> FeatureGrid:
+    """Exact inverse of :func:`squeeze` at the same ``levels``."""
     x = as_grid(x)
-    channels, height, width = x.shape
-    if channels % 4 != 0:
-        raise ValueError(f"unsqueeze requires channels divisible by 4, got {channels}")
-    blocks = x.reshape(channels // 4, 2, 2, height, width)
-    return np.ascontiguousarray(blocks.transpose(0, 3, 1, 4, 2)).reshape(
-        channels // 4, 2 * height, 2 * width
-    )
+    if levels < 0:
+        raise ValueError(f"unsqueeze levels must be >= 0, got {levels}")
+    for _ in range(levels):
+        *lead, channels, height, width = x.shape
+        if channels % 4 != 0:
+            raise ValueError(f"unsqueeze requires channels divisible by 4, got {channels}")
+        blocks = x.reshape(*lead, channels // 4, 2, 2, height, width)
+        # (..., c, row, col, h, w) -> (..., c, h, row, w, col)
+        x = np.ascontiguousarray(np.moveaxis(blocks, (-4, -3), (-3, -1))).reshape(
+            *lead, channels // 4, 2 * height, 2 * width
+        )
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from ..attention import KINDS, VARIANTS, make_residual_branch
+from ..attention import KINDS, VARIANTS, make_residual_branch, squeeze
 from ..errors import InvariantViolation, PpmParseError
 from ..inversion import estimate_lipschitz, normal_sampler
 from ..logdet import DENSE_ORACLE_MAX_DIM
@@ -36,7 +36,6 @@ from .experiment import (
     parse_config_file,
     roundtrip_stack,
     run_experiment,
-    squeeze_levels,
     synthetic_batch,
 )
 from .ppm import load_ppm, save_ppm
@@ -123,7 +122,7 @@ def _single_input(args):
         check_image(image, cfg)
     else:
         image = synthetic_batch(cfg.synthetic, cfg.size, 1, cfg.seed)[0]
-    return cfg, make_block(cfg, cfg.kinds[0]), image, squeeze_levels(image, cfg.squeeze_levels)
+    return cfg, make_block(cfg, cfg.kinds[0]), image, squeeze(image, cfg.squeeze_levels)
 
 
 def _cmd_invert(args) -> int:

@@ -64,13 +64,13 @@ class ExperimentConfig:
     size: int = 16
     batch: int = 8
     c: float = 0.9
-    iters: int = 100
-    tol: float = 1e-10
+    iters: int = InversionConfig.max_iters
+    tol: float = InversionConfig.early_stop_tol
     seed: int = 0
     squeeze_levels: int = 1
     logdet: bool = False
-    logdet_terms: int = 20
-    logdet_samples: int = 64
+    logdet_terms: int = LogDetConfig.series_terms
+    logdet_samples: int = LogDetConfig.hutchinson_samples
     workers: int = 4
     vscore_floor: float = 0.0
     stress_weight_scale: float = 1.0
@@ -228,20 +228,6 @@ def _scale_weights_inplace(block: AttentionBlock, factor: float) -> None:
         block.last = block.last * factor
 
 
-def squeeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
-    """Apply :func:`squeeze` ``levels`` times."""
-    for _ in range(levels):
-        x = squeeze(x)
-    return x
-
-
-def unsqueeze_levels(x: np.ndarray, levels: int) -> np.ndarray:
-    """Apply :func:`unsqueeze` ``levels`` times, undoing :func:`squeeze_levels`."""
-    for _ in range(levels):
-        x = unsqueeze(x)
-    return x
-
-
 def make_block(cfg: ExperimentConfig, kind: str) -> AttentionBlock:
     """The configured block of ``kind`` for ``3 * 4**squeeze_levels`` channels,
     seeded with ``1009 * cfg.seed + KINDS.index(kind)``, so a kind's block
@@ -276,7 +262,8 @@ def roundtrip_stack(
 ) -> list[tuple[dict, np.ndarray | None]]:
     """The record of each same-shape image at ``indices``, inverted in
     lockstep as one stack, and its reconstruction clipped to [0, 1]. The
-    images that did not diverge are scored with one SSIM call, and their
+    stack is squeezed with one call; the images that did not diverge are
+    unsqueezed with one call and scored with one SSIM call, and their
     records count the preimage entries outside [0, 1] (``out_of_domain``);
     a diverged image has no reconstruction, SSIM or count. A preimage with
     an entry outside the domain is a wrong fixed point, so its record reads
@@ -291,22 +278,16 @@ def roundtrip_stack(
     base: dict = {"kind": block.kind}
     if cfg.variant != "invertible":
         base["note"] = "no invertibility contract"
-    working = np.stack([squeeze_levels(images[i], cfg.squeeze_levels) for i in indices])
+    stack = np.stack([images[i] for i in indices])
+    working = squeeze(stack, cfg.squeeze_levels)
     try:
         xhat, report = roundtrip(working, block, cfg.inversion)
-        recons = {
-            j: np.clip(unsqueeze_levels(xhat[j], cfg.squeeze_levels), 0.0, 1.0)
-            for j, r in enumerate(report.images)
-            if not r.diverged
-        }
-        ssims = {}
-        if recons:
-            scores = compute_ssim(
-                np.stack([images[indices[j]] for j in recons]),
-                np.stack(list(recons.values())),
-                window=min(8, *images[indices[0]].shape[-2:]),
-            )
-            ssims = {j: float(score) for j, score in zip(recons, scores)}
+        kept = np.array([not r.diverged for r in report.images])
+        recons = np.full(stack.shape, np.nan)
+        ssims = np.full(len(indices), np.nan)
+        if kept.any():
+            recons[kept] = np.clip(unsqueeze(xhat[kept], cfg.squeeze_levels), 0.0, 1.0)
+            ssims[kept] = compute_ssim(stack[kept], recons[kept], window=min(8, *stack.shape[-2:]))
         outside = ((xhat < -_DOMAIN_SLACK) | (xhat > 1.0 + _DOMAIN_SLACK)).reshape(len(indices), -1).sum(axis=1)
     except _RECORDED_ERRORS as err:
         if len(indices) > 1:
@@ -316,8 +297,8 @@ def roundtrip_stack(
                   "converged": False, "diverged": True}, None)]
     pairs = []
     for j, (i, image_report) in enumerate(zip(indices, report.images)):
-        out_of_domain = int(outside[j]) if j in recons else None
-        record = report_to_record(image_report, i, **base, ssim=ssims.get(j), out_of_domain=out_of_domain)
+        ssim, out_of_domain = (float(ssims[j]), int(outside[j])) if kept[j] else (None, None)
+        record = report_to_record(image_report, i, **base, ssim=ssim, out_of_domain=out_of_domain)
         if out_of_domain:
             record["converged"] = False
         if cfg.logdet and cfg.variant == "invertible":
@@ -329,7 +310,7 @@ def roundtrip_stack(
                     logdet_fields(record, working[j], block, cfg, i)
                 except _RECORDED_ERRORS as err:
                     record["error"] = f"{type(err).__name__}: {err}"
-        pairs.append((record, recons.get(j)))
+        pairs.append((record, recons[j] if kept[j] else None))
     return pairs
 
 

@@ -361,20 +361,17 @@ def roundtrip_check(
 # ---------------------------------------------------------------------------
 
 
-def report_to_record(report: InversionReport, index: int | None = None, **extra) -> dict:
-    """Flatten a report into a JSON-serializable record."""
-    record: dict = {}
-    if index is not None:
-        record["index"] = index
-    record.update(
-        iterations=report.iterations_used,
-        final_residual=report.final_residual,
-        converged=report.converged,
-        diverged=report.diverged,
-        mse=report.reconstruction_mse,
-    )
-    record.update(extra)
-    return record
+def report_to_record(report: InversionReport, index: int, **extra) -> dict:
+    """Flatten the report of input ``index`` into a JSON-serializable record."""
+    return {
+        "index": index,
+        "iterations": report.iterations_used,
+        "final_residual": report.final_residual,
+        "converged": report.converged,
+        "diverged": report.diverged,
+        "mse": report.reconstruction_mse,
+        **extra,
+    }
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> None:

@@ -40,10 +40,11 @@ dense oracle."""
 @dataclass
 class LogDetConfig:
     """Series truncation, Rademacher probe count, and probe seed for the
-    estimator; the finite-difference paths step by :data:`FD_STEP`."""
+    estimator; the default budget is every subcommand's. The
+    finite-difference paths step by :data:`FD_STEP`."""
 
-    series_terms: int = 10
-    hutchinson_samples: int = 8
+    series_terms: int = 20
+    hutchinson_samples: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -392,33 +392,86 @@ class TestResidual:
 # ---------------------------------------------------------------------------
 
 
+def squeeze_once(grid):
+    """The one-level space-to-depth of one (C, H, W) grid, written out."""
+    channels, height, width = grid.shape
+    blocks = grid.reshape(channels, height // 2, 2, width // 2, 2)
+    return blocks.transpose(0, 2, 4, 1, 3).reshape(4 * channels, height // 2, width // 2)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 3])
+@pytest.mark.parametrize("stacked", [False, True], ids=["grid", "stack"])
 class TestSqueeze:
-    def test_documented_subpixel_order(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # C=1, H=W=2
-        out = squeeze(x)
-        assert out.shape == (4, 1, 1)
-        assert np.array_equal(out[:, 0, 0], [1.0, 2.0, 3.0, 4.0])
+    @staticmethod
+    def sample(rng, stacked, shape=(3, 16, 8)):
+        return rng.standard_normal(((2,) if stacked else ()) + shape)
 
-    def test_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((3, 8, 6))
-        assert np.array_equal(unsqueeze(squeeze(x)), x)
+    def test_equals_repeated_one_level_squeezes_of_each_grid(self, levels, stacked):
+        x = self.sample(np.random.default_rng(19), stacked)
+        want = []
+        for grid in x if stacked else [x]:
+            for _ in range(levels):
+                grid = squeeze_once(grid)
+            want.append(grid)
+        assert np.array_equal(squeeze(x, levels), np.stack(want) if stacked else want[0])
 
-    def test_energy_preserved(self):
-        rng = np.random.default_rng(20)
-        x = rng.standard_normal((2, 4, 4))
-        assert abs(norm_frobenius(squeeze(x).reshape(8, 4)) - norm_frobenius(x.reshape(2, 16))) <= 1e-12
+    def test_roundtrip_bit_exact(self, levels, stacked):
+        x = self.sample(np.random.default_rng(20), stacked)
+        assert np.array_equal(unsqueeze(squeeze(x, levels), levels), x)
 
-    def test_shape_contract(self):
-        assert squeeze(np.zeros((3, 10, 8))).shape == (12, 5, 4)
+    def test_documented_subpixel_order(self, levels, stacked):
+        # channel 4^L c + 4^(L-1) k1 + ... + kL, with k_l = 2 r_l + s_l, holds
+        # the pixel at row sum_l 2^(l-1) r_l and column sum_l 2^(l-1) s_l
+        side = 2**levels
+        x = np.arange(2 * side * side, dtype=np.float64).reshape(2, side, side)
+        out = squeeze(x[None] if stacked else x, levels)
+        assert out.shape == ((1,) if stacked else ()) + (2 * 4**levels, 1, 1)
+        for channel, value in enumerate(out.reshape(-1)):
+            c, digits = divmod(channel, 4**levels)
+            row = col = 0
+            for level in range(levels):  # k1 is the leading base-4 digit
+                k = digits // 4 ** (levels - 1 - level) % 4
+                row += (k // 2) << level
+                col += (k % 2) << level
+            assert value == x[c, row, col]
+        if levels == 1:
+            assert np.array_equal(out.reshape(-1)[:4], [0.0, 1.0, 2.0, 3.0])
 
-    def test_odd_dims_rejected(self):
-        with pytest.raises(ValueError):
-            squeeze(np.zeros((1, 3, 4)))
+    def test_energy_preserved(self, levels, stacked):
+        x = self.sample(np.random.default_rng(21), stacked)
+        assert abs(norm_frobenius(squeeze(x, levels).reshape(-1, 1)) - norm_frobenius(x.reshape(-1, 1))) <= 1e-12
 
-    def test_unsqueeze_channel_guard(self):
-        with pytest.raises(ValueError):
-            unsqueeze(np.zeros((3, 2, 2)))
+    def test_shape_contract(self, levels, stacked):
+        lead = (5,) if stacked else ()
+        out = squeeze(np.zeros(lead + (3, 40, 24)), levels)
+        assert out.shape == lead + (3 * 4**levels, 40 >> levels, 24 >> levels)
+
+    def test_odd_dims_rejected(self, levels, stacked):
+        # a side of 3 * 2^L halves to 3 in L levels, which level L + 1 refuses
+        x = np.zeros(((2,) if stacked else ()) + (3, 3 * 2**levels, 3 * 2**levels))
+        assert squeeze(x, levels).shape[-2:] == (3, 3)
+        with pytest.raises(ValueError, match="even spatial dims, got 3x3"):
+            squeeze(x, levels + 1)
+
+    def test_unsqueeze_channel_guard(self, levels, stacked):
+        # 3 * 4^L channels unsqueeze to 3 in L levels, which level L + 1 refuses
+        x = np.zeros(((2,) if stacked else ()) + (3 * 4**levels, 2, 2))
+        assert unsqueeze(x, levels).shape[-3] == 3
+        with pytest.raises(ValueError, match="divisible by 4, got 3"):
+            unsqueeze(x, levels + 1)
+
+    def test_five_dim_input_refused(self, levels, stacked):
+        x = self.sample(np.random.default_rng(22), stacked)
+        deeper = x[None] if stacked else x[None, None]
+        for op in (squeeze, unsqueeze):
+            with pytest.raises(ValueError, match="ndim=5"):
+                op(deeper, levels)
+
+
+def test_negative_squeeze_levels_refused():
+    for op in (squeeze, unsqueeze):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            op(np.zeros((4, 2, 2)), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from invattn.harness.experiment import (
 from invattn.harness.metrics import compute_mse, compute_ssim
 from invattn.harness.ppm import load_ppm, save_ppm
 from invattn.inversion import InversionConfig, read_records, report_to_record, roundtrip
+from invattn.logdet import LogDetConfig
 
 
 def lattice_grid(rng, shape=(3, 6, 5)):
@@ -294,6 +295,11 @@ class TestConfigPlumbing:
             if hint not in _PARSERS and hint not in (str, str | None)
         }
         assert unhandled == {}
+
+    def test_defaults_are_the_library_config_defaults(self):
+        cfg, logdet_cfg = ExperimentConfig(), LogDetConfig()
+        assert cfg.inversion == InversionConfig()
+        assert (cfg.logdet_terms, cfg.logdet_samples) == (logdet_cfg.series_terms, logdet_cfg.hutchinson_samples)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -621,7 +627,7 @@ class TestRunExperiment:
         for record in records:
             block = load_block(out / f"block_{record['kind']}.json")
             image = load_ppm(img_dir / f"img_{record['index']}.ppm")
-            _, report = roundtrip(squeeze(image), block, InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol))
+            _, report = roundtrip(squeeze(image, 1), block, InversionConfig(max_iters=cfg.iters, early_stop_tol=cfg.tol))
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
 
@@ -640,7 +646,7 @@ class TestRunExperiment:
         block = load_block(out / "block_gaussian.json")
         for record in (grey, grey_again):
             image = load_ppm(img_dir / f"img_{record['index']}.ppm")
-            _, report = roundtrip(squeeze(image), block, cfg.inversion)
+            _, report = roundtrip(squeeze(image, 1), block, cfg.inversion)
             assert report.converged
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
@@ -675,8 +681,8 @@ class TestRunExperiment:
                 assert record["ssim"] is None and record["out_of_domain"] is None
                 assert not (out / f"recon_concat_{record['index']:03d}.ppm").exists()
                 continue
-            xhat, _ = roundtrip(squeeze(image), block, cfg.inversion)
-            recon = np.clip(attention.unsqueeze(xhat), 0.0, 1.0)
+            xhat, _ = roundtrip(squeeze(image, 1), block, cfg.inversion)
+            recon = np.clip(attention.unsqueeze(xhat, 1), 0.0, 1.0)
             assert record["ssim"] == compute_ssim(image, recon)
 
     def test_image_dir_not_squeezable_is_config_error(self, tmp_path):

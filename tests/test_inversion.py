@@ -201,7 +201,7 @@ def spread_stack(kind, seed):
     converge at different steps (input scales 0.05 to 1.5)."""
     block = build_block(kind, "invertible", 12, seed=seed)
     rng = np.random.default_rng(seed)
-    images = [squeeze(scale * rng.uniform(0.0, 1.0, (3, 8, 8))) for scale in (0.05, 0.3, 1.0, 1.5)]
+    images = [squeeze(scale * rng.uniform(0.0, 1.0, (3, 8, 8)), 1) for scale in (0.05, 0.3, 1.0, 1.5)]
     return block, residual_forward(np.stack(images), block)
 
 
@@ -240,7 +240,7 @@ class TestStackedSolve:
     def test_stacked_roundtrip_equals_solo_roundtrips(self, kind):
         block = build_block(kind, "invertible", 12, seed=22)
         rng = np.random.default_rng(23)
-        images = np.stack([squeeze(rng.uniform(0.0, 1.0, (3, 8, 8))) for _ in range(3)])
+        images = np.stack([squeeze(rng.uniform(0.0, 1.0, (3, 8, 8)), 1) for _ in range(3)])
         xhat, report = roundtrip(images, block)
         for j, image in enumerate(images):
             x_solo, r_solo = roundtrip(image, block)
@@ -367,7 +367,7 @@ class TestStackedSolve:
     def test_contractive_kinds_take_at_most_15_branch_calls_per_image(self, kind):
         # plain iteration takes 15 to 17 calls per image on these five images
         block, spread = spread_stack(kind, seed=21)
-        grid = residual_forward(squeeze(np.random.default_rng(26).uniform(0.0, 1.0, (3, 32, 32)))[None], block)
+        grid = residual_forward(squeeze(np.random.default_rng(26).uniform(0.0, 1.0, (3, 32, 32)), 1)[None], block)
         branch = make_residual_branch(block)
         rows = []
 

@@ -14,13 +14,13 @@ from invattn.attention import (
     make_residual_branch,
     pairwise_logits,
     raw_response,
+    squeeze,
 )
 from invattn.errors import InvariantViolation
 from invattn.harness.experiment import (
     SYNTHETIC_SOURCES,
     ExperimentConfig,
     make_block,
-    squeeze_levels,
     synthetic_batch,
 )
 from invattn.inversion import roundtrip
@@ -687,7 +687,7 @@ def jacobian_sweep():
         for kind, cfg in sweep_configs():
             block = make_block(cfg, kind)
             branch = make_residual_branch(block)
-            inputs = np.stack([squeeze_levels(image, cfg.squeeze_levels) for _, image in images])
+            inputs = squeeze(np.stack([image for _, image in images]), cfg.squeeze_levels)
             solutions, _ = roundtrip(inputs, block, cfg.inversion)
             for (name, _), x, solution in zip(images, inputs, solutions):
                 label = f"{kind}/squeeze {cfg.squeeze_levels}/{name}"

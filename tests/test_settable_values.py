@@ -9,7 +9,7 @@ from pathlib import Path
 
 import invattn
 
-SETTABLE_VALUES = 62
+SETTABLE_VALUES = 61
 
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:
