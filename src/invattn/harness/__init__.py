@@ -13,7 +13,7 @@ from .experiment import (
     run_experiment,
     synthetic_batch,
 )
-from .metrics import compute_mse, compute_ssim
+from .metrics import compute_ssim
 from .ppm import load_ppm, save_ppm
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "EXIT_OK",
     "ExperimentConfig",
     "KindSummary",
-    "compute_mse",
     "compute_ssim",
     "config_from_mapping",
     "format_summary",

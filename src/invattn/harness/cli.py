@@ -2,12 +2,12 @@
 
 Subcommands: `run` (full experiment), `invert` (single-image roundtrip;
 it succeeds only when the input comes back), `logdet` (series estimate +
-dense oracle for one block), `lipschitz` (empirical constant of one block's
-residual branch), `selftest` (oracle suites). Every subcommand but
-`selftest` takes its input, block and limits from one validated
-`ExperimentConfig`, and `invert` and `logdet` print the fields `run` records
-for image 0. Exit codes: 0 success, 2 invariant violation, 3 configuration
-error, 4 I/O error.
+dense oracle for one block) and `lipschitz` (empirical constant of one
+block's residual branch over standard-normal pairs at the working grid's
+shape; the input's pixels are never sampled). Every subcommand takes its
+input, block and limits from one validated `ExperimentConfig`, and `invert`
+and `logdet` print the fields `run` records for image 0. Exit codes: 0
+success, 2 invariant violation, 3 configuration error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .experiment import (
     synthetic_batch,
 )
 from .ppm import load_ppm, save_ppm
-from .selftest import run_selftest
 
 
 class _CliError(Exception):
@@ -62,7 +61,6 @@ def _add_block_flags(sub: argparse.ArgumentParser, single_kind: bool) -> None:
     sub.add_argument("--size", type=int, help="square image side")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--c", type=float, help="Lipschitz target in (0, 1)")
-    sub.add_argument("--iters", type=int, help="inverse iteration count N")
     sub.add_argument("--squeeze", dest="squeeze_levels", type=int, help="squeeze levels before the block")
     sub.add_argument("--synthetic", choices=SYNTHETIC_SOURCES)
 
@@ -77,6 +75,7 @@ def build_parser() -> _Parser:
     run_p.add_argument("--out", dest="out_dir", help="output directory")
     run_p.add_argument("--image-dir", help="directory of .ppm inputs")
     run_p.add_argument("--batch", type=int)
+    run_p.add_argument("--iters", type=int, help="inverse iteration count N")
     run_p.add_argument("--tol", type=float)
     run_p.add_argument("--workers", type=int)
     run_p.add_argument("--logdet", action="store_true", default=None,
@@ -87,6 +86,7 @@ def build_parser() -> _Parser:
 
     inv_p = commands.add_parser("invert", help="single-image forward + inverse roundtrip")
     _add_block_flags(inv_p, single_kind=True)
+    inv_p.add_argument("--iters", type=int, help="inverse iteration count N")
     inv_p.add_argument("--tol", type=float)
     inv_p.add_argument("--out", help="where to write the reconstruction .ppm")
 
@@ -95,11 +95,17 @@ def build_parser() -> _Parser:
     ld_p.add_argument("--terms", dest="logdet_terms", type=int, help="series terms K")
     ld_p.add_argument("--samples", dest="logdet_samples", type=int, help="Hutchinson probes S")
 
-    lips_p = commands.add_parser("lipschitz", help="empirical Lipschitz constant of one block")
+    lips_p = commands.add_parser(
+        "lipschitz",
+        help="empirical Lipschitz lower bound of one block's residual branch",
+        description="Sampled lower bound on the Lipschitz constant of one block's residual "
+        "branch: the largest |g(x1) - g(x2)| / |x1 - x2| over pairs drawn around standard-normal "
+        "grids at the shape of the working (squeezed) grid. --image and --synthetic set only "
+        "that shape; their pixels are never sampled.",
+    )
     _add_block_flags(lips_p, single_kind=True)
     lips_p.add_argument("--pairs", type=int, default=2000)
 
-    commands.add_parser("selftest", help="run the oracle self-test suites")
     return parser
 
 
@@ -168,9 +174,7 @@ def main(argv=None) -> int:
             return _cmd_invert(args)
         if args.command == "logdet":
             return _cmd_logdet(args)
-        if args.command == "lipschitz":
-            return _cmd_lipschitz(args)
-        return run_selftest()
+        return _cmd_lipschitz(args)
     except _CliError as err:
         print(f"argument error: {err}", file=sys.stderr)
         return EXIT_CONFIG

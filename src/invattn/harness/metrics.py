@@ -1,7 +1,7 @@
-"""Reconstruction metrics, computed on the 0-255 RGB scale.
+"""Structural similarity, computed on the 0-255 RGB scale.
 
-Grids are passed in the internal [0, 1] convention and rescaled here, so a
-unit difference on the 8-bit lattice contributes exactly 1 to the MSE.
+Grids are passed in the internal [0, 1] convention and rescaled here. The
+reconstruction MSE on the same scale is `inversion.mse_0_255`.
 """
 
 from __future__ import annotations
@@ -10,16 +10,6 @@ import numpy as np
 
 from .. import kernels
 from ..attention import as_grid
-from ..inversion import mse_0_255
-
-
-def compute_mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared difference after scaling both grids to 0-255."""
-    a = as_grid(a)
-    b = as_grid(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return mse_0_255(a, b)
 
 
 _DYNAMIC_RANGE = 255.0

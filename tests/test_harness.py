@@ -31,9 +31,9 @@ from invattn.harness.experiment import (
     run_experiment,
     synthetic_batch,
 )
-from invattn.harness.metrics import compute_mse, compute_ssim
+from invattn.harness.metrics import compute_ssim
 from invattn.harness.ppm import load_ppm, save_ppm
-from invattn.inversion import InversionConfig, read_records, report_to_record, roundtrip
+from invattn.inversion import InversionConfig, mse_0_255, read_records, report_to_record, roundtrip
 from invattn.logdet import LogDetConfig
 
 
@@ -118,12 +118,12 @@ class TestMse:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(1)
         a = rng.uniform(0, 1, (3, 5, 5))
-        assert compute_mse(a, a) == 0.0
+        assert mse_0_255(a, a) == 0.0
 
     def test_one_lattice_step_everywhere(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(0, 0.9, (3, 4, 4))
-        assert abs(compute_mse(a, a + 1.0 / 255.0) - 1.0) <= 1e-12
+        assert abs(mse_0_255(a, a + 1.0 / 255.0) - 1.0) <= 1e-12
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(3)
@@ -134,11 +134,7 @@ class TestMse:
             for i in range(3):
                 for j in range(4):
                     total += (255.0 * (a[ch, i, j] - b[ch, i, j])) ** 2
-        assert abs(compute_mse(a, b) - total / a.size) <= 1e-9
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_mse(np.zeros((3, 2, 2)), np.zeros((3, 2, 3)))
+        assert abs(mse_0_255(a, b) - total / a.size) <= 1e-9
 
 
 def naive_ssim(a, b, window=8, k1=0.01, k2=0.03, dynamic_range=255.0):
@@ -487,7 +483,7 @@ class TestRunExperiment:
         images = synthetic_batch("checkerboard", 8, 3, seed=11)
         for record in records:
             recon = load_ppm(out / f"recon_embedded_{record['index']:03d}.ppm")
-            file_mse = compute_mse(images[record["index"]], recon)
+            file_mse = mse_0_255(images[record["index"]], recon)
             bound = 0.25 + 0.5 * (math.sqrt(file_mse) + math.sqrt(record["mse"])) + 1e-9
             assert abs(file_mse - record["mse"]) <= bound
 
@@ -854,8 +850,20 @@ class TestCli:
     def test_missing_image_is_io_error(self):
         assert main(["invert", "--image", "/definitely/not/here.ppm"]) == EXIT_IO
 
-    def test_bad_flag_is_config_error(self):
-        assert main(["run", "--variant", "diagonal"]) == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--variant", "diagonal"], "argument --variant: invalid choice: 'diagonal'"),
+            # only the two subcommands that invert take the iteration count
+            (["logdet", "--iters", "5"], "unrecognized arguments: --iters 5"),
+            (["lipschitz", "--iters", "5"], "unrecognized arguments: --iters 5"),
+            (["selftest"], "argument command: invalid choice: 'selftest'"),
+        ],
+        ids=["run-variant", "logdet-iters", "lipschitz-iters", "selftest"],
+    )
+    def test_bad_flag_is_config_error(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_nan_tol_is_config_error(self, tmp_path):
         # NaN compares false with every bound, and inf is above every step:
@@ -944,8 +952,3 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "seed must be >= 0" in capsys.readouterr().err
-
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out

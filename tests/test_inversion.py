@@ -504,6 +504,16 @@ class TestRoundtrip:
             hits += report.reconstruction_mse < 10.0
         assert hits == 32
 
+    @pytest.mark.parametrize("kind", ["gaussian", "embedded", "concat"])
+    def test_each_image_converges_onto_its_input(self, kind):
+        # test_1 bounds the mean MSE; here every image must converge and come back
+        block = build_block(kind, "invertible", 3, seed=31)
+        rng = np.random.default_rng(15)
+        cfg = InversionConfig(max_iters=100, early_stop_tol=1e-12)
+        for _ in range(3):
+            report = roundtrip_check(rng.uniform(0.0, 1.0, (3, 8, 8)), block, cfg)
+            assert report.converged and report.reconstruction_mse < 1e-6
+
     def test_broken_bound_flagged_not_silent(self):
         rng = np.random.default_rng(8)
         block = build_block("embedded", "invertible", 3, seed=12)
