@@ -1,7 +1,11 @@
 """Residual attention blocks over feature grids.
 
-A feature grid is a plain ``(channels, height, width)`` float64 array. The
-response maps act on its ``positions x channels`` matrix view (one row per
+A feature grid is a plain ``(channels, height, width)`` float array. The
+forward (the 1x1 convolutions, the responses and the branch) follows its
+grid's dtype: a float32 grid is computed in float32, with the weights cast
+once per call, and a grid of any other real dtype is read as float64;
+:func:`linearize` always works in float64. The response maps act on the
+grid's ``positions x channels`` matrix view (one row per
 spatial position); the 1x1 convolutions and the attention forward act on its
 own ``channels x positions`` layout, so they return grids without a
 transposing copy. Every grid map, the squeeze included, also takes a
@@ -18,6 +22,8 @@ iteration.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -59,8 +65,9 @@ _CONTAINER_KEYS = ("format", "version", "kind", "variant", "c", "logit_scale", "
 
 def as_grid(x: np.ndarray) -> FeatureGrid:
     """Validate a (C, H, W) grid, or a (B, C, H, W) stack of grids, of finite
-    reals, and return it as a float64 array (a copy only if ``x`` is not one)."""
-    a = np.asarray(x, dtype=np.float64)
+    reals, and return it as a float32 array if it is one and as a float64
+    array otherwise (a copy only if ``x`` is neither)."""
+    a = np.asarray(x, dtype=np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64)
     if a.ndim not in (3, 4):
         raise ValueError(f"expected a (C, H, W) grid or a (B, C, H, W) stack, got ndim={a.ndim}")
     if a.size == 0:
@@ -68,6 +75,12 @@ def as_grid(x: np.ndarray) -> FeatureGrid:
     if not np.isfinite(a).all():
         raise NonFiniteError("grid contains non-finite entries")
     return a
+
+
+def _float64_grid(x: np.ndarray) -> FeatureGrid:
+    """:func:`as_grid` read as float64 whatever its dtype: the grid of every
+    map that is not the forward (linearization, log-det, solver, SSIM)."""
+    return as_grid(x).astype(np.float64, copy=False)
 
 
 def grid_to_matrix(x: FeatureGrid) -> np.ndarray:
@@ -145,12 +158,13 @@ def apply_1x1_conv(x: FeatureGrid, w: np.ndarray) -> FeatureGrid:
     of each grid of a stack), which is the grid's own layout, so the result
     is a new C-contiguous grid and no transposing copy is made.
     Positions are independent, so the Lipschitz constant of the grid map
-    equals the largest singular value of the weight.
+    equals the largest singular value of the weight. The product is taken in
+    the grid's dtype (see :func:`as_grid`), the weight cast to it.
     """
     x = as_grid(x)
     if w.shape[1] != x.shape[-3]:
         raise ValueError(f"conv expects {w.shape[1]} channels, grid has {x.shape[-3]}")
-    out = w @ x.reshape(x.shape[:-2] + (-1,))
+    out = w.astype(x.dtype, copy=False) @ x.reshape(x.shape[:-2] + (-1,))
     return out.reshape(out.shape[:-1] + x.shape[-2:])
 
 
@@ -289,6 +303,17 @@ def build_block(
     return AttentionBlock(kind=kind, variant=variant, **weights, c=c, logit_scale=logit_scale)
 
 
+def _weights_in(block: AttentionBlock, dtype: np.dtype) -> AttentionBlock:
+    """A shallow copy of ``block`` whose response-path weights (every role
+    but ``last``, which :func:`apply_1x1_conv` casts) are in ``dtype``; its
+    callers make one only when the focus is in another dtype."""
+    cast = copy.copy(block)
+    for role in _WEIGHT_ROLES:
+        if role != "last" and getattr(block, role) is not None:
+            setattr(cast, role, getattr(block, role).astype(dtype))
+    return cast
+
+
 # ---------------------------------------------------------------------------
 # Response maps
 # ---------------------------------------------------------------------------
@@ -305,8 +330,13 @@ def pairwise_logits(
     rank-2 product ``[u, 1] [1, v]ᵀ``: each product with 1 is exact and the
     sum rounds once, so they equal the broadcast sum ``u_i + v_j`` bit for
     bit, except that a sum of two -0 reads +0. The default takes every
-    column. They are written into ``out`` (a float64 array of the slab's
-    shape) if given, else into a new array."""
+    column. They are computed in ``pos``'s dtype, the weights cast to it,
+    and written into ``out`` (an array of that dtype and the slab's shape)
+    if given, else into a new array. A float32 logit scaled past float32's
+    range raises :class:`FloatingPointError` rather than saturate to ±inf:
+    a -inf logit would kill its softplus column where float64 keeps it."""
+    if block.focus.dtype != pos.dtype:
+        block = _weights_in(block, pos.dtype)
     if block.kind == "gaussian":
         logits = np.matmul(pos, pos[..., cols, :].swapaxes(-1, -2), out=out)
     else:
@@ -314,15 +344,16 @@ def pairwise_logits(
         e2 = pos[..., cols, :] @ block.embed2.T
         if block.kind == "concat":
             a1, a2 = np.split(block.pair_scorer[0], 2)
-            left = np.ones(e1.shape[:-1] + (2,))
+            left = np.ones(e1.shape[:-1] + (2,), dtype=e1.dtype)
             left[..., 0] = e1 @ a1
-            right = np.ones(e2.shape[:-2] + (2,) + e2.shape[-2:-1])
+            right = np.ones(e2.shape[:-2] + (2,) + e2.shape[-2:-1], dtype=e2.dtype)
             right[..., 1, :] = e2 @ a2
             logits = np.matmul(left, right, out=out)
         else:
             logits = np.matmul(e1, e2.swapaxes(-1, -2), out=out)
     if block.logit_scale != 1.0:
-        logits *= block.logit_scale
+        with np.errstate(over="raise") if logits.dtype == np.float32 else contextlib.nullcontext():
+            logits *= block.logit_scale
     return logits
 
 
@@ -340,10 +371,12 @@ def raw_response(
     slab; the row shift needs every column. Invertible dot/concat scores pass
     through softplus, which makes them nonnegative.
 
-    The shifted exp or softplus overwrites the logits in place. With ``out`` (a
-    float64 array of the result's shape, such as a view of a caller's
-    workspace) the logits are written and activated there and ``out`` is
-    returned; without it a new array is. The values are the same.
+    The responses are computed in the grid's dtype (float32 for a float32
+    grid, float64 otherwise; see :func:`as_grid`). The shifted exp or
+    softplus overwrites the logits in place. With ``out`` (an array of that
+    dtype and the result's shape, such as a view of a caller's workspace)
+    the logits are written and activated there and ``out`` is returned;
+    without it a new array is. The values are the same.
     """
     x = as_grid(x)
     if x.shape[-3] != block.channels:
@@ -378,16 +411,17 @@ def normalize_response(
     the whole matrix; row scaling needs the whole square matrix.
 
     A non-finite entry raises :class:`NonFiniteError`, and a negative entry
-    under the invertible variant :class:`InvariantViolation`. The result is
-    written into ``out`` if given (a float64 array of ``raw``'s shape, which
-    may be ``raw`` itself, to normalize in place) and is ``out``; without it
-    a new array is returned. The values are the same.
+    under the invertible variant :class:`InvariantViolation`. A float32
+    ``raw`` is normalized in float32, any other dtype in float64. The result
+    is written into ``out`` if given (an array of that dtype and ``raw``'s
+    shape, which may be ``raw`` itself, to normalize in place) and is
+    ``out``; without it a new array is returned. The values are the same.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    a = np.asarray(raw, dtype=np.float64)
+    a = np.asarray(raw, dtype=np.float32 if getattr(raw, "dtype", None) == np.float32 else np.float64)
     rows_normalized = _normalizes_rows(kind, variant)
     if a.ndim not in (2, 3) or a.shape[-1] > a.shape[-2] or (rows_normalized and a.shape[-1] != a.shape[-2]):
         what = "square" if rows_normalized else "an m x b slab with b <= m"
@@ -431,16 +465,20 @@ def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
     :func:`normalize_response`). The row-normalized responses (non-invertible
     gaussian and embedded) take one slab of every column.
 
-    One float64 workspace of one slab's shape is allocated per call: each
-    slab's logits are written, activated and normalized in a view of it, so
-    ``F[:, J] R[:, J]ᵀ`` is the only new array a slab makes. It is local to
-    the call, so concurrent calls share nothing.
+    The call follows the grid's dtype (see :func:`as_grid`): the weights are
+    cast to it once per call, and one workspace of that dtype and one
+    slab's shape is allocated: each slab's logits are written, activated and
+    normalized in a view of it, so ``F[:, J] R[:, J]ᵀ`` is the only new
+    array a slab makes. It is local to the call, so concurrent calls share
+    nothing.
     """
     x = as_grid(x)
+    if block.focus.dtype != x.dtype:
+        block = _weights_in(block, x.dtype)
     feat = apply_1x1_conv(x, block.focus).reshape(x.shape[:-2] + (-1,))
     positions = feat.shape[-1]
     width = positions if _normalizes_rows(block.kind, block.variant) else _BLOCK_COLS
-    workspace = np.empty(feat.shape[:-2] + (positions, min(width, positions)))
+    workspace = np.empty(feat.shape[:-2] + (positions, min(width, positions)), dtype=feat.dtype)
     out = None
     for start in range(0, positions, width):
         cols = slice(start, start + width)
@@ -455,7 +493,8 @@ def attention_apply(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
 
 
 def residual_branch(x: FeatureGrid, block: AttentionBlock) -> FeatureGrid:
-    """g(x): the residual branch, with the bounded output conv when invertible."""
+    """g(x): the residual branch, with the bounded output conv when
+    invertible, in the grid's dtype (see :func:`as_grid`)."""
     out = attention_apply(x, block)
     if block.last is not None:
         out = apply_1x1_conv(out, block.last)
@@ -487,11 +526,12 @@ def linearize(block: AttentionBlock, x: FeatureGrid) -> Callable[[np.ndarray], n
     ``K = W_fᵀ W_lᵀ``, so each apply is ``q G + R (dX K - colsum(q) G)``,
     with colsum(q) scaling G's rows, and neither dR nor a trailing product
     with W_l is formed. A dead column (sum zero, filled uniform) has zero
-    derivative. Each call splits its stack with :func:`_in_stacks`.
+    derivative. Each call splits its stack with :func:`_in_stacks`. It
+    works in float64 whatever the dtype of ``x``.
     """
     if block.variant != "invertible":
         raise ValueError("linearize requires an invertible-variant block")
-    x = as_grid(x)
+    x = _float64_grid(x)
     if x.ndim != 3:
         raise ValueError(f"linearize takes one (C, H, W) grid, got shape {x.shape}")
     height, width = x.shape[-2:]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from ..attention import as_grid
+from ..attention import _float64_grid
 
 
 _DYNAMIC_RANGE = 255.0
@@ -27,8 +27,8 @@ def compute_ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float | np.nd
     float; a (B, C, H, W) pair of stacks gives an array of B values, each
     the same as scoring that pair of grids alone.
     """
-    a = as_grid(a)
-    b = as_grid(b)
+    a = _float64_grid(a)
+    b = _float64_grid(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if window < 1:

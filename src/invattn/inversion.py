@@ -19,6 +19,14 @@ step is one branch call on the images still iterating, every image keeps
 its own history, iteration count, residual, trace and divergence flag, and
 an image that converges or diverges leaves the stack, so the others are
 unaffected.
+
+The iterates, results and reports are float64. A roundtrip solve runs its
+first ``_SWEEPS`` steps as float32 sweeps, in the manner of mixed-precision
+iterative refinement (Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018):
+the branch is called on a float32 cast of the iterates, which costs less
+than a float64 call and is as good while the iterates are far from the
+fixed point. No image stops on a sweep, so every returned iterate and
+final residual comes from a float64 branch call.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .attention import AttentionBlock, FeatureGrid, as_grid, make_residual_branch, residual_forward
+from .attention import AttentionBlock, FeatureGrid, _float64_grid, make_residual_branch, residual_forward
 from .errors import NonFiniteError
 from .logdet import jvp
 
@@ -40,6 +48,7 @@ _LOCAL_ITERS = 12  # power-iteration rounds per local probe
 _LOCAL_EPS = 1e-4  # central-difference step of a local probe
 _HISTORY = 5  # Anderson history: the residual differences fitted per step
 _RIDGE = 1e-14  # relative raise of the Gram diagonal, so a rank-deficient history still solves
+_SWEEPS = 5  # the first lockstep steps of a roundtrip solve, which call the branch in float32
 
 
 @dataclass
@@ -93,6 +102,41 @@ def _branch_step(g: Callable[[FeatureGrid], FeatureGrid], xs: np.ndarray) -> np.
     return np.concatenate([_branch_step(g, xs[j : j + 1]) for j in range(len(xs))])
 
 
+@dataclass(frozen=True)
+class _Sweeping:
+    """A residual branch to solve with float32 sweeps: :func:`roundtrip`
+    passes its branch to :func:`fixed_point_invert` wrapped in this, rather
+    than call a private solver, so that every roundtrip solve is still a
+    :func:`fixed_point_invert` call; the solver unwraps it and runs its first
+    ``_SWEEPS`` steps in float32."""
+
+    branch: Callable[[FeatureGrid], FeatureGrid]
+
+
+def _sweep_step(g: Callable[[FeatureGrid], FeatureGrid], xs: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """One sweep step on a float64 stack: the branch on a float32 cast of
+    it, except for the images flagged in ``wide``, which take float64. An
+    image whose float32 row is non-finite (or whose float32 call raised;
+    see :func:`_branch_step`) is recomputed in float64 in the same step and
+    flagged in ``wide``, which is updated in place, for the sweeps left. So
+    a float32 failure is never a divergence, and each image's row is the one
+    it would get alone."""
+    narrow = ~wide
+    if narrow.all():  # the usual case: one float32 call, no masks
+        out = _branch_step(g, xs.astype(np.float32))
+        if np.isfinite(out).all():
+            return out
+    else:
+        out = np.empty_like(xs)
+        if narrow.any():
+            out[narrow] = _branch_step(g, xs[narrow].astype(np.float32))
+    # from here on some image is wide: flagged before, or non-finite now
+    wide |= ~np.isfinite(out).reshape(len(xs), -1).all(axis=1)
+    out = out.astype(np.float64, copy=False)
+    out[wide] = _branch_step(g, xs[wide])
+    return out
+
+
 def _mix_weights(system: np.ndarray, unit_sum: np.ndarray, slot: int) -> np.ndarray:
     """Solve a stack of bordered least-squares systems for their mixing
     weights. When the stacked solve meets a singular system, the solve is
@@ -142,12 +186,22 @@ def fixed_point_invert(
     call raises, diverges at its own iteration: its slot is NaN, its report
     says ``diverged`` with that iteration in ``iterations_used``, and the
     other images go on. A bad answer is never returned silently.
+
+    ``z`` is read as float64 whatever its dtype, and ``g`` is called on
+    float64 stacks, except in :func:`roundtrip`'s solve: there its first
+    ``_SWEEPS`` steps call ``g`` on float32 casts of the iterates (see
+    :func:`_sweep_step`). Such a step counts as an iteration and enters the
+    history and the trace as any other, but no image stops on it, and the
+    last step that ``max_iters`` allows is never one.
     """
-    z = as_grid(z)
+    z = _float64_grid(z)
     if z.ndim != 4:
         raise ValueError(f"fixed_point_invert takes a (B, C, H, W) stack, got shape {z.shape}")
     cfg = cfg or InversionConfig()
     n, dim, points = z.shape[0], z[0].size, _HISTORY + 1
+    sweeps = 0
+    if isinstance(g, _Sweeping):
+        g, sweeps = g.branch, min(_SWEEPS, cfg.max_iters - 1)
     iterations = np.zeros(n, dtype=int)
     diffs = np.full(n, np.inf)
     failed = np.zeros(n, dtype=bool)
@@ -155,6 +209,7 @@ def fixed_point_invert(
     # the images still iterating, their targets and their iterates; an image
     # that leaves the stack has its last G(x) written to x
     active, za, xa = np.arange(n), z, z
+    wide = np.zeros(n, dtype=bool)  # the images still iterating whose float32 sweep failed
     x = np.empty_like(z)
     # The history of the images still iterating, in ring slots shared by all
     # of them: G(x) and f = G(x) - x at their last `points` iterates, and the
@@ -175,7 +230,8 @@ def fixed_point_invert(
         for i in range(cfg.max_iters):
             slot = i % points
             g_x = g_hist[:, slot].reshape(za.shape)
-            np.subtract(za, _branch_step(g, xa), out=g_x)
+            sweep = i < sweeps
+            np.subtract(za, _sweep_step(g, xa, wide) if sweep else _branch_step(g, xa), out=g_x)
             f = f_hist[:, slot]
             np.subtract(g_hist[:, slot], xa.reshape(f.shape), out=f)
             diff = np.abs(f).max(axis=1)  # NaN where f has a NaN
@@ -186,14 +242,15 @@ def fixed_point_invert(
             if cfg.record_trace:
                 for image in active[ok]:
                     traces[image].append(float(diffs[image]))
-            # the last step's G(x) is every remaining image's answer
-            stay = ok & (diff >= cfg.early_stop_tol) & (i + 1 < cfg.max_iters)
+            # the last step's G(x) is every remaining image's answer; only a
+            # divergence ends an image's solve on a sweep
+            stay = ok & (sweep | ((diff >= cfg.early_stop_tol) & (i + 1 < cfg.max_iters)))
             if not stay.all():
                 x[active[~stay]] = g_x[~stay]
                 active = active[stay]
                 if not active.size:
                     break
-                za, g_hist, f_hist, system = za[stay], g_hist[stay], f_hist[stay], system[stay]
+                za, g_hist, f_hist, system, wide = za[stay], g_hist[stay], f_hist[stay], system[stay], wide[stay]
                 diff, diff_prev, f = diff[stay], diff_prev[stay], f_hist[:, slot]
             grew = diff >= diff_prev
             if grew.any():
@@ -333,12 +390,23 @@ def roundtrip(
     divergence, as it would alone; its slot in a stack is NaN. One grid
     returns its own reconstruction (None if it diverged) and its image
     report. It is the caller's contract that the block is invertible.
+
+    ``x`` is read as float64, and so are the forward and the solve, except
+    that the solve's first ``_SWEEPS`` steps call the branch in float32 (see
+    :func:`fixed_point_invert`): the branch closure of
+    :func:`~invattn.attention.make_residual_branch` is called on a float32
+    cast of the iterates. So trace entries 1 to ``_SWEEPS`` are residuals
+    evaluated in float32, while the returned iterate and the final residual
+    come from a float64 call. An image whose float32 branch output is not
+    finite is recomputed in float64 and then stays in float64: a float32
+    overflow (at a logit scale past float32's range, say) is no divergence.
     """
-    x = as_grid(x)
+    x = _float64_grid(x)
     single = x.ndim == 3
     xs = x[None] if single else x
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported, not warned of
-        xhat, report = fixed_point_invert(residual_forward(xs, block), make_residual_branch(block), cfg)
+        branch = _Sweeping(make_residual_branch(block))
+        xhat, report = fixed_point_invert(residual_forward(xs, block), branch, cfg)
         for j, r in enumerate(report.images):
             r.reconstruction_mse = math.inf if r.diverged else mse_0_255(xs[j], xhat[j])
     report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)

@@ -26,7 +26,15 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionBlock, FeatureGrid, _in_stacks, as_grid, linearize, make_residual_branch
+from .attention import (
+    AttentionBlock,
+    FeatureGrid,
+    _float64_grid,
+    _in_stacks,
+    as_grid,
+    linearize,
+    make_residual_branch,
+)
 from .errors import InvariantViolation
 from .linalg import lu_logabsdet
 
@@ -82,13 +90,13 @@ def jvp(
     ``x`` is one grid and ``v`` a stack of directions of shape
     ``(P,) + x.shape``; one direction is passed as a stack of one. The stack
     goes to ``g`` in the stacks of ``attention._in_stacks``, as the
-    linearized apply's does. Exact for linear maps; O(eps^2) truncation
-    error otherwise. Non-finite output of ``g`` raises
-    :class:`FloatingPointError`.
+    linearized apply's does. ``x`` is read as float64 whatever its dtype.
+    Exact for linear maps; O(eps^2) truncation error otherwise. Non-finite
+    output of ``g`` raises :class:`FloatingPointError`.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    x = as_grid(x)
+    x = _float64_grid(x)
     v = np.asarray(v)
     if v.shape[1:] != x.shape:
         raise ValueError(f"direction stack shape {v.shape} is not (P,) + {x.shape}")

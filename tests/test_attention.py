@@ -374,17 +374,40 @@ class TestResidual:
         want = apply_1x1_conv(attention_apply(x, block), block.last)
         assert np.allclose(residual_branch(x, block), want, atol=1e-15)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.uint8])
     @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_any_real_grid_is_read_as_float64(self, kind, variant, dtype):
         block = build_block(kind, variant, 3, seed=20)
         x = np.random.default_rng(19).integers(0, 4, (2, 3, 4, 5)).astype(dtype)
-        if dtype == np.float32:
-            x /= np.float32(3.0)
+        if dtype == np.float16:
+            x /= np.float16(3.0)
         got = residual_branch(x, block)
         assert got.dtype == np.float64
         assert np.array_equal(got, residual_branch(x.astype(np.float64), block))
+
+    @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float32_grid_stays_float32_through_the_forward(self, kind, variant):
+        block = build_block(kind, variant, 3, seed=20)
+        x = (np.random.default_rng(19).integers(0, 4, (2, 3, 4, 5)) / 3.0).astype(np.float32)
+        assert as_grid(x) is x
+        pos = grid_to_matrix(x)
+        raw = raw_response(x, block)
+        maps = [
+            apply_1x1_conv(x, block.focus),
+            attention.pairwise_logits(pos, block),
+            raw,
+            normalize_response(raw, kind, variant),
+            response_map(x, block),
+            attention_apply(x, block),
+            residual_branch(x, block),
+            residual_forward(x, block),
+            squeeze(x[..., :4], 1),
+        ]
+        assert [a.dtype for a in maps] == [np.float32] * len(maps)
+        # the weights stay as they were: each call casts its own copy
+        assert block.focus.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +791,8 @@ def test_noninvertible_exponential_rows_are_distributions(kind):
 # Stacks of grids: one call on (B, C, H, W) equals B calls on (C, H, W)
 # ---------------------------------------------------------------------------
 
-# block options and the dtype of the input stack; a float32 stack is read as
-# float64, so its output is float64 too
+# block options and the dtype of the input stack; a float32 stack is computed
+# in float32, so its output is float32 too
 STACK_CONFIGS = {
     "default": ({}, np.float64),
     "logit-scale": ({"logit_scale": 2.5}, np.float64),
@@ -790,8 +813,60 @@ def test_stacked_branch_matches_loop_of_grids(kind, variant, config):
     xs = np.random.default_rng(33).uniform(0.0, 1.0, (5, 4, 3, 5)).astype(dtype)
     stacked = residual_branch(xs, block)
     looped = np.stack([residual_branch(x, block) for x in xs])
-    assert stacked.dtype == looped.dtype == np.float64
-    assert relative_gap(stacked, looped) <= 1e-15
+    assert stacked.dtype == looped.dtype == dtype
+    if dtype == np.float32:  # the solver's float32 sweeps rely on stack = solo, bit for bit
+        assert np.array_equal(stacked, looped)
+    else:
+        assert relative_gap(stacked, looped) <= 1e-15
+
+
+# the largest relative gap of the float32 forward from the float64 forward of
+# the same (float32-rounded) grid, at most 3.7e-6 measured (the row-normalized
+# exp kinds at logit scale 150, whose float32 logits carry 150 times the
+# absolute rounding); about 100 float32 ulps
+FLOAT32_GAP = 1e-5
+# ln of float32's smallest normal number: a softplus column whose largest
+# logit lies below this is subnormal or zero in float32 (dead below about
+# -103.3) but still normal in float64 down to about -708 (dead below -745)
+FLOAT32_NORMAL_LOGIT = math.log(np.finfo(np.float32).tiny)
+
+
+@pytest.mark.parametrize("grid", ["unit", "signed"])
+@pytest.mark.parametrize("logit_scale", [1.0, 1.3, 150.0])
+@pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_float32_forward_matches_float64(kind, variant, logit_scale, grid):
+    block = build_block(kind, variant, 4, seed=40, logit_scale=logit_scale)
+    rng = np.random.default_rng(41)
+    for shape in [(4, 8, 8), (4, 9, 9), (3, 4, 9, 9)]:
+        narrow = rng.uniform(*GRID_RANGES[grid], shape).astype(np.float32)
+        wide = narrow.astype(np.float64)
+        if variant == "invertible" and kind in ("dot", "concat"):
+            # these grids keep every softplus column normal in float32, so no
+            # column is dead or subnormal in one precision and not the other;
+            # test_float32_softplus_column_dies_where_float64_lives covers that
+            col_max = attention.pairwise_logits(grid_to_matrix(wide), block).max(axis=-2)
+            assert col_max.min() > FLOAT32_NORMAL_LOGIT
+        got = residual_branch(narrow, block)
+        assert got.dtype == np.float32
+        assert relative_gap(got, residual_branch(wide, block)) <= FLOAT32_GAP
+
+
+def test_float32_softplus_column_dies_where_float64_lives():
+    # dead_column_block's logits are -s x_i·x_j; at s = 200 column 0 (position
+    # 0 is e1) reads logits -200 x_i[0], spread over [-200, -120] here: below
+    # float32's dead floor (about -103) but far above float64's (-745). Every
+    # other column meets a position of opposite channel-1 sign, so it has a
+    # logit of at least 0 and stays normal in both precisions.
+    block = dead_column_block()
+    block.logit_scale = 200.0
+    x = np.zeros((1, 4, 3, 5))
+    x[0, 0] = np.linspace(0.6, 1.0, 15).reshape(3, 5)
+    x[0, 1] = np.resize([1.0, -1.0], 15).reshape(3, 5)
+    x[0, :2, 0, 0] = [1.0, 0.0]
+    narrow, wide = response_map(x.astype(np.float32), block), response_map(x, block)
+    assert np.array_equal(narrow[0, :, 0], np.full(15, np.float32(1.0 / 15.0)))  # dead: filled 1/m
+    assert wide[0, :, 0].max() > 0.99  # alive: nearly all weight on the largest logit
 
 
 def dead_column_block():
@@ -883,8 +958,9 @@ BLOCKED_CONFIGS = {
     "float32-grid": ({}, np.float32),
 }
 # the blocked sum only regroups the R F products, so it agrees with the
-# whole-matrix product to a few units in the last place
-BLOCKED_GAP = 1e-13
+# whole-matrix product, taken in the same dtype, to a few units in the last
+# place (float32: at most 4.7e-7 measured, about 4 ulps)
+BLOCKED_GAP = {np.float64: 1e-13, np.float32: 4e-6}
 # the interval the input grids are drawn from: a signed grid gives dot and
 # concat logits of both signs, so softplus also runs in its e^L tail
 GRID_RANGES = {"unit": (0.0, 1.0), "signed": (-1.0, 1.0)}
@@ -893,7 +969,7 @@ GRID_RANGES = {"unit": (0.0, 1.0), "signed": (-1.0, 1.0)}
 def whole_matrix_branch(x, block):
     """The attention and the branch from the whole m x m response map."""
     attn = response_map(x, block) @ grid_to_matrix(apply_1x1_conv(x, block.focus))
-    return attn, attn if block.last is None else attn @ block.last.T
+    return attn, attn if block.last is None else attn @ block.last.T.astype(attn.dtype)
 
 
 @pytest.mark.parametrize("grid", GRID_RANGES)
@@ -911,9 +987,9 @@ def test_blocked_forward_matches_whole_matrix(kind, variant, config, grid, monke
         want_attn, want_branch = whole_matrix_branch(x, block)
         attn = grid_to_matrix(attention_apply(x, block))
         branch = grid_to_matrix(residual_branch(x, block))
-        assert attn.dtype == branch.dtype == np.float64
-        assert relative_gap(attn, want_attn) <= BLOCKED_GAP
-        assert relative_gap(branch, want_branch) <= BLOCKED_GAP
+        assert attn.dtype == branch.dtype == want_branch.dtype == dtype
+        assert relative_gap(attn, want_attn) <= BLOCKED_GAP[dtype]
+        assert relative_gap(branch, want_branch) <= BLOCKED_GAP[dtype]
 
 
 @pytest.mark.parametrize("variant", ["invertible", "noninvertible"])
@@ -941,7 +1017,7 @@ def test_blocked_forward_with_forced_zero_columns(monkeypatch):
     assert np.array_equal(raw_response(xs, block)[:, :, 0], np.zeros((3, 15)))
     assert np.array_equal(raw_response(xs, block)[2, :, 14], np.zeros(15))
     _, want = whole_matrix_branch(xs, block)
-    assert relative_gap(grid_to_matrix(residual_branch(xs, block)), want) <= BLOCKED_GAP
+    assert relative_gap(grid_to_matrix(residual_branch(xs, block)), want) <= BLOCKED_GAP[np.float64]
 
 
 @pytest.mark.parametrize(
@@ -982,17 +1058,21 @@ def traced_peak(fn):
 
 
 # most bytes one branch call of any kind may hold, in units of one (B, m, 256)
-# float64 slab: the workspace itself, 1.19 slabs measured at both shapes, so
-# one more slab of scratch (2.14) fails
+# slab of the grid's dtype: the workspace itself, 1.19 slabs measured at both
+# shapes in float64 and in float32, so one more slab of scratch (2.14) fails.
+# A float32 call is held to the same count of float32 slabs, about half the
+# float64 budget: a float64 workspace or response slab in it, which would
+# forfeit the float32 speed-up, fails.
 BRANCH_PEAK_SLABS = 1.25
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("shape", [(12, 32, 32), (2, 12, 32, 32)])
-def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape):
+def test_branch_call_allocation_is_bounded_by_its_slab(kind, shape, dtype):
     block = build_block(kind, "invertible", 12, seed=45)
-    x = np.random.default_rng(46).uniform(0.0, 1.0, shape)
-    slab_bytes = math.prod(shape[:-3]) * 32 * 32 * attention._BLOCK_COLS * 8
+    x = np.random.default_rng(46).uniform(0.0, 1.0, shape).astype(dtype)
+    slab_bytes = math.prod(shape[:-3]) * 32 * 32 * attention._BLOCK_COLS * x.itemsize
     peak = traced_peak(lambda: residual_branch(x, block))
     assert peak <= BRANCH_PEAK_SLABS * slab_bytes, f"{peak / slab_bytes:.2f} slabs"
 

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 from invattn import attention, kernels
-from invattn.attention import KINDS, AttentionBlock, block_to_dict, build_block, load_block, squeeze
+from invattn.attention import (
+    KINDS,
+    AttentionBlock,
+    block_to_dict,
+    build_block,
+    load_block,
+    make_residual_branch,
+    residual_branch,
+    residual_forward,
+    squeeze,
+)
 from invattn.errors import PpmParseError
 from invattn.harness import experiment
 from invattn.harness.cli import build_parser, main
@@ -33,7 +43,14 @@ from invattn.harness.experiment import (
 )
 from invattn.harness.metrics import compute_ssim
 from invattn.harness.ppm import load_ppm, save_ppm
-from invattn.inversion import InversionConfig, mse_0_255, read_records, report_to_record, roundtrip
+from invattn.inversion import (
+    InversionConfig,
+    fixed_point_invert,
+    mse_0_255,
+    read_records,
+    report_to_record,
+    roundtrip,
+)
 from invattn.logdet import LogDetConfig
 
 
@@ -646,6 +663,29 @@ class TestRunExperiment:
             assert report.converged
             solo = report_to_record(report, index=record["index"], kind=record["kind"])
             assert {key: record[key] for key in solo} == solo
+
+    def test_float32_overflow_leaves_the_records_of_the_unswept_solve(self, tmp_path):
+        # At logit scale 1e39 the float64 branch is finite and the float32
+        # branch overflows, so the solve's float32 sweeps fail at step 1 and
+        # each image is solved in float64 throughout: its record is the one a
+        # solve with no sweeps writes.
+        cfg = small_config(tmp_path, kinds=("gaussian", "dot"), stress_logit_scale=1e39)
+        assert run_experiment(cfg) == EXIT_OK
+        out = Path(cfg.out_dir)
+        images = synthetic_batch(cfg.synthetic, cfg.size, cfg.batch, cfg.seed)
+        records = read_records(out / "records.jsonl")
+        assert len(records) == 8 and not any("error" in record for record in records)
+        for record in records:
+            block = load_block(out / f"block_{record['kind']}.json")
+            x = squeeze(images[record["index"]], 1)[None]
+            z = residual_forward(x, block)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                residual_branch(z.astype(np.float32), block)
+            xhat, report = fixed_point_invert(z, make_residual_branch(block), cfg.inversion)
+            image = report.images[0]
+            image.reconstruction_mse = math.inf if image.diverged else mse_0_255(x[0], xhat[0])
+            unswept = report_to_record(image, index=record["index"], kind=record["kind"])
+            assert {key: record[key] for key in unswept} == unswept
 
     def test_image_that_fails_alone_gets_an_error_record_without_roundtrip_fields(self, tmp_path):
         cfg = small_config(

@@ -196,13 +196,19 @@ def assert_matches_solo(x, report, solos):
         assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
 
 
-def spread_stack(kind, seed):
-    """A squeezed 12x4x4 block and a stack of its outputs whose images
-    converge at different steps (input scales 0.05 to 1.5)."""
+def spread_images(kind, seed):
+    """A squeezed 12x4x4 block and a stack of squeezed images that converge
+    at different steps (input scales 0.05 to 1.5)."""
     block = build_block(kind, "invertible", 12, seed=seed)
     rng = np.random.default_rng(seed)
     images = [squeeze(scale * rng.uniform(0.0, 1.0, (3, 8, 8)), 1) for scale in (0.05, 0.3, 1.0, 1.5)]
-    return block, residual_forward(np.stack(images), block)
+    return block, np.stack(images)
+
+
+def spread_stack(kind, seed):
+    """:func:`spread_images`' block and the stack of its outputs."""
+    block, images = spread_images(kind, seed)
+    return block, residual_forward(images, block)
 
 
 class TestStackedSolve:
@@ -392,6 +398,121 @@ class TestStackedSolve:
         assert report.images[1].iterations_used == 2
         assert np.isnan(x[1]).all()
         assert np.allclose(x[[0, 2]].ravel(), [1.0] * 4 + [0.25 / 1.5] * 4)
+
+
+def record_branch_calls(monkeypatch, inputs=None):
+    """Make every roundtrip record its branch calls, as (stack size, dtype)
+    pairs in the returned list, and their input stacks in ``inputs``."""
+    calls = []
+    make = inversion.make_residual_branch
+
+    def make_recorded(block):
+        branch = make(block)
+
+        def recorded(xs):
+            calls.append((len(xs), xs.dtype))
+            if inputs is not None:
+                inputs.append(xs.copy())
+            return branch(xs)
+
+        return recorded
+
+    monkeypatch.setattr(inversion, "make_residual_branch", make_recorded)
+    return calls
+
+
+def unswept_roundtrip(images, block, cfg):
+    """The roundtrip of ``images`` solved with no float32 sweep: every branch
+    call in float64, as ``fixed_point_invert`` makes them for any branch."""
+    xhat, report = fixed_point_invert(residual_forward(images, block), make_residual_branch(block), cfg)
+    for j, r in enumerate(report.images):
+        r.reconstruction_mse = math.inf if r.diverged else inversion.mse_0_255(images[j], xhat[j])
+    report.reconstruction_mse = max(r.reconstruction_mse for r in report.images)
+    return xhat, report
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "embedded", "dot", "concat"])
+class TestFloat32Sweeps:
+    """A roundtrip solve's first ``_SWEEPS`` steps call the branch on float32
+    casts of the iterates; every later step, and every result, is float64."""
+
+    def test_first_steps_are_float32_and_the_rest_float64(self, kind, monkeypatch):
+        calls = record_branch_calls(monkeypatch)
+        block, images = spread_images(kind, seed=21)
+        _, report = roundtrip(images, block)
+        sweeps = inversion._SWEEPS
+        assert report.converged and report.iterations_used > sweeps
+        assert [dtype for _, dtype in calls] == [np.float32] * sweeps + [np.float64] * (len(calls) - sweeps)
+
+    def test_stacked_roundtrip_equals_solo_roundtrips(self, kind):
+        block, images = spread_images(kind, seed=21)
+        cfg = InversionConfig(record_trace=True)
+        xhat, report = roundtrip(images, block, cfg)
+        solos = [roundtrip(image, block, cfg) for image in images]
+        assert len({r.iterations_used for _, r in solos}) > 1  # images leave at different steps
+        for j, (x_solo, r_solo) in enumerate(solos):
+            assert np.array_equal(xhat[j], x_solo)  # the same bits
+            assert dataclasses.asdict(report.images[j]) == dataclasses.asdict(r_solo)
+
+    def test_no_image_takes_more_branch_calls_than_unswept(self, kind, monkeypatch):
+        calls = record_branch_calls(monkeypatch)
+        block, images = spread_images(kind, seed=21)
+        cfg = InversionConfig()
+        _, swept = roundtrip(images, block, cfg)
+        _, unswept = unswept_roundtrip(images, block, cfg)
+        for r_swept, r_unswept in zip(swept.images, unswept.images):
+            assert r_swept.converged and r_unswept.converged
+            assert r_swept.iterations_used <= r_unswept.iterations_used
+        assert sum(rows for rows, _ in calls) <= sum(r.iterations_used for r in unswept.images)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5, 6])  # up to one step past the sweeps
+    def test_a_short_budget_still_ends_on_a_float64_step(self, kind, max_iters, monkeypatch):
+        # no tolerance is met in so few steps, so every image spends the budget
+        inputs = []
+        calls = record_branch_calls(monkeypatch, inputs)
+        block, images = spread_images(kind, seed=21)
+        cfg = InversionConfig(max_iters=max_iters, record_trace=True)
+        _, report = roundtrip(images, block, cfg)
+        narrow = min(inversion._SWEEPS, max_iters - 1)
+        assert calls == [(len(images), np.float32)] * narrow + [(len(images), np.float64)] * (max_iters - narrow)
+        # the final residuals are those of a float64 branch call at the last iterate
+        last = inputs[-1]
+        defect = residual_forward(images, block) - make_residual_branch(block)(last) - last
+        want = np.abs(defect).reshape(len(images), -1).max(axis=1)
+        assert [r.final_residual for r in report.images] == want.tolist()
+        for r in report.images:
+            assert r.iterations_used == len(r.trace) == max_iters and r.trace[-1] == r.final_residual
+        if max_iters == 1:  # one float64 step: the unswept roundtrip
+            assert dataclasses.asdict(report) == dataclasses.asdict(unswept_roundtrip(images, block, cfg)[1])
+
+    def test_zero_weight_block_reconstructs_exactly(self, kind):
+        block, images = spread_images(kind, seed=21)
+        block.focus = np.zeros_like(block.focus)
+        block.last = np.zeros_like(block.last)
+        xhat, report = roundtrip(images, block)
+        assert np.array_equal(xhat, images)
+        assert report.converged and report.reconstruction_mse == 0.0
+        # the residual is 0 from the first step, but no image stops on a sweep
+        assert [r.iterations_used for r in report.images] == [inversion._SWEEPS + 1] * len(images)
+
+    def test_float32_overflow_is_recomputed_in_float64(self, kind, monkeypatch):
+        # at logit scale 1e39 the float64 logits are finite and the float32
+        # ones overflow, so every float32 call fails and each image is
+        # recomputed in float64 at step 1 and stays there: the roundtrip is
+        # the unswept one, bit for bit
+        calls = record_branch_calls(monkeypatch)
+        block, images = spread_images(kind, seed=21)
+        block.logit_scale = 1e39
+        cfg = InversionConfig(record_trace=True)
+        xhat, report = roundtrip(images, block, cfg)
+        want_x, want = unswept_roundtrip(images, block, cfg)
+        assert np.array_equal(xhat, want_x, equal_nan=True)
+        assert dataclasses.asdict(report) == dataclasses.asdict(want)
+        # the stacked float32 call raises and is rerun image by image, as
+        # any raising call is; from then on every call is float64
+        narrow = 1 + len(images)
+        assert calls[:narrow] == [(len(images), np.float32)] + [(1, np.float32)] * len(images)
+        assert [dtype for _, dtype in calls[narrow:]] == [np.float64] * (len(calls) - narrow)
 
 
 class TestEstimateLipschitz:
